@@ -23,6 +23,7 @@ int main() {
     TablePrinter table({"HWMT order", "seconds", "points processed"});
     for (bool binary : {true, false}) {
       K2HopOptions options;
+      options.num_threads = 1;
       options.hwmt_binary_order = binary;
       K2HopStats stats;
       const MineOutcome out = RunK2(rdbms.get(), params, &stats, options);
@@ -37,6 +38,7 @@ int main() {
     TablePrinter table({"candidate pruning", "seconds", "points processed"});
     for (bool pruning : {true, false}) {
       K2HopOptions options;
+      options.num_threads = 1;
       options.candidate_pruning = pruning;
       K2HopStats stats;
       const MineOutcome out = RunK2(rdbms.get(), params, &stats, options);

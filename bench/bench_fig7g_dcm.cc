@@ -23,6 +23,7 @@ int main() {
   // DCM emits partially connected convoys, so k/2-hop runs without the
   // final FC validation here — the same output class.
   K2HopOptions k2_options;
+  k2_options.num_threads = 1;
   k2_options.validate = false;
   std::vector<double> k2_seconds;
   std::vector<std::unique_ptr<Store>> stores;

@@ -1,8 +1,8 @@
 // Partitioned mining benchmark: sweeps shard counts for the time-sharded
 // PartitionedK2HopMiner on the Trucks workload (memory + LSMT engines) and
 // reports per-phase wall time, seam-stitch behaviour, and speedup against
-// batch MineK2Hop. Partitioned output is equality-checked against batch
-// in-process for every configuration.
+// one-thread MineK2Hop (the sequential path). Partitioned output is
+// equality-checked against it in-process for every configuration.
 #include "bench/harness.h"
 
 #include <sstream>
@@ -34,7 +34,8 @@ int main(int argc, char** argv) {
 
     K2HopStats batch_stats;
     Stopwatch batch_sw;
-    auto batch_result = MineK2Hop(store.get(), params, {}, &batch_stats);
+    auto batch_result =
+        MineK2Hop(store.get(), params, {.num_threads = 1}, &batch_stats);
     const double batch_seconds = batch_sw.ElapsedSeconds();
     K2_CHECK(batch_result.ok());
     const std::vector<Convoy>& batch_convoys = batch_result.value();

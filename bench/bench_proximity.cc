@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
 
     K2HopStats stats;
     Stopwatch sw;
-    auto batch = MineK2Hop(store.get(), params, {}, &stats);
+    auto batch = MineK2Hop(store.get(), params, {.num_threads = 1}, &stats);
     const double batch_seconds = sw.ElapsedSeconds();
     K2_CHECK(batch.ok());
     if (batch_convoys.empty()) {

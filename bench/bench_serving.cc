@@ -115,7 +115,7 @@ int main(int argc, char** argv) {
     src.store = batch_store.get();
     src.catalog = &batch_catalog;
     Stopwatch sw;
-    auto batch_mined = MineK2Hop(batch_store.get(), params);
+    auto batch_mined = MineK2Hop(batch_store.get(), params, {.num_threads = 1});
     K2_CHECK(batch_mined.ok());
     K2_CHECK_OK(
         batch_catalog.AddConvoys(batch_mined.value(), batch_store.get()));

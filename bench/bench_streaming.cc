@@ -101,7 +101,8 @@ int main(int argc, char** argv) {
     auto batch_store = BuildStore(kind, data, "streaming_batch");
     K2HopStats batch_stats;
     Stopwatch batch_sw;
-    auto batch_result = MineK2Hop(batch_store.get(), params, {}, &batch_stats);
+    auto batch_result = MineK2Hop(batch_store.get(), params,
+                                  {.num_threads = 1}, &batch_stats);
     const double batch_seconds = batch_sw.ElapsedSeconds();
     K2_CHECK(batch_result.ok());
     const std::vector<Convoy>& batch_convoys = batch_result.value();

@@ -54,9 +54,13 @@ struct MineOutcome {
   std::string note;       ///< e.g. "mem-budget" for a modelled OOM
 };
 
+/// The paper's figures are sequential, and sharded IO depends on the shard
+/// count (adjacent shards each cluster their shared benchmark tick), so the
+/// default pins one thread. Callers passing options set num_threads
+/// themselves.
 MineOutcome RunK2(Store* store, const MiningParams& params,
                   K2HopStats* stats = nullptr,
-                  const K2HopOptions& options = {});
+                  const K2HopOptions& options = {.num_threads = 1});
 
 /// Escapes `s` for embedding inside a JSON string literal: backslash,
 /// double quote, and control characters. Every string the --json sink

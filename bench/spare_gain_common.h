@@ -35,6 +35,7 @@ inline int RunSpareGainFigure(const std::string& title,
   // SPARE emits partially connected convoys, so k/2-hop runs without the
   // final FC validation here — the same output class (PCCD-equivalent).
   K2HopOptions k2_options;
+  k2_options.num_threads = 1;
   k2_options.validate = false;
   std::vector<double> k2_seconds;
   std::vector<std::unique_ptr<Store>> stores;

@@ -31,9 +31,11 @@ int main() {
   //    within eps metres (density-connected), for at least k ticks.
   const k2::MiningParams params{/*m=*/3, /*k=*/20, /*eps=*/3.0};
 
-  // 4. Mine. The stats object reports what the pruning achieved.
+  // 4. Mine. The stats object reports what the pruning achieved. One
+  //    thread reads exactly the paper's points; the default (one time
+  //    shard per core) also re-scans each shard's boundary tick.
   k2::K2HopStats stats;
-  auto result = k2::MineK2Hop(&store, params, {}, &stats);
+  auto result = k2::MineK2Hop(&store, params, {.num_threads = 1}, &stats);
   if (!result.ok()) {
     std::cerr << "mining failed: " << result.status().ToString() << "\n";
     return 1;

@@ -26,7 +26,9 @@ Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
   std::vector<Convoy> results;
   std::vector<ObjectSet> clusters;
 
-  for (Timestamp t = range.start; t <= range.end; ++t) {
+  // 64-bit cursor: ++ past a range ending at INT32_MAX must not wrap.
+  for (int64_t tick = range.start; tick <= range.end; ++tick) {
+    const auto t = static_cast<Timestamp>(tick);
     clusters.clear();
     K2_RETURN_NOT_OK(clusters_at(t, &clusters));
     std::vector<Candidate> next;
@@ -65,7 +67,7 @@ Result<std::vector<Convoy>> MineCmc(Store* store, const MiningParams& params) {
     for (auto& [set, start] : dedup) active.push_back(Candidate{set, start});
   }
   for (const Candidate& c : active) {
-    if (range.end - c.start + 1 >= params.k) {
+    if (TimeRange{c.start, range.end}.length() >= params.k) {
       results.emplace_back(c.set, c.start, range.end);
     }
   }

@@ -42,7 +42,9 @@ std::vector<TickLabels> FullClusterLabels(const Dataset& dataset,
 
   std::vector<TickLabels> out(static_cast<size_t>(range.length()));
   std::vector<SnapshotPoint> points;
-  for (Timestamp t = range.start; t <= range.end; ++t) {
+  // 64-bit cursor: ++ past a range ending at INT32_MAX must not wrap.
+  for (int64_t tick = range.start; tick <= range.end; ++tick) {
+    const auto t = static_cast<Timestamp>(tick);
     TickLabels& labels = out[t - range.start];
     labels.label.assign(universe.size(), -1);
     points.clear();

@@ -48,7 +48,9 @@ Result<std::vector<Convoy>> MaximalConvoySweep(const ClustersAtFn& clusters_at,
     return false;
   };
 
-  for (Timestamp t = range.start; t <= range.end; ++t) {
+  // 64-bit cursor: ++ past a range ending at INT32_MAX must not wrap.
+  for (int64_t tick = range.start; tick <= range.end; ++tick) {
+    const auto t = static_cast<Timestamp>(tick);
     clusters.clear();
     K2_RETURN_NOT_OK(clusters_at(t, &clusters));
     CandidateMap next;

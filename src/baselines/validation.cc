@@ -21,8 +21,9 @@ std::vector<Timestamp> BinarySubdivisionOrder(TimeRange range) {
   while (!queue.empty()) {
     const TimeRange seg = queue.front();
     queue.pop_front();
-    if (seg.end - seg.start < 2) continue;
-    const Timestamp mid = seg.start + (seg.end - seg.start) / 2;
+    const int64_t span = int64_t{seg.end} - seg.start;  // no int32 overflow
+    if (span < 2) continue;
+    const auto mid = static_cast<Timestamp>(seg.start + span / 2);
     order.push_back(mid);
     queue.push_back({seg.start, mid});
     queue.push_back({mid, seg.end});

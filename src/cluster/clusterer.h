@@ -15,9 +15,9 @@
 // Implementations must be immutable after construction: one clusterer
 // instance is shared by every mining thread, and all mutable working state
 // lives in the caller-owned SnapshotScratch (one per thread). To add a
-// clusterer, implement Cluster/ReCluster against the same store fetch
-// helpers (respecting store_mu) and keep the output contract: canonical
-// lexicographically-sorted ObjectSets, each of size >= params.m.
+// clusterer, implement Cluster/ReCluster by fetching from the store they
+// are handed (ScanTimestamp / GetPoints) and keep the output contract:
+// canonical lexicographically-sorted ObjectSets, each of size >= params.m.
 #ifndef K2_CLUSTER_CLUSTERER_H_
 #define K2_CLUSTER_CLUSTERER_H_
 
@@ -45,8 +45,12 @@ struct SnapshotScratch {
 
 /// Interface of one snapshot-clustering substrate. Thread-compatible:
 /// const methods may run concurrently from many threads as long as each
-/// passes its own scratch (and a shared store_mu when the store itself is
-/// shared — only the fetch is serialized; clustering runs outside the lock).
+/// passes its own scratch and its own store handle (CreateReadSnapshot).
+///
+/// The trailing `Mutex*` parameter of Cluster/ReCluster is always null;
+/// removal waits on a benchmark-scoped PR (the benchmark's tracing
+/// clusterer overrides these signatures). No caller serializes store reads
+/// any more, and implementations K2_DCHECK that it is null.
 class SnapshotClusterer {
  public:
   virtual ~SnapshotClusterer() = default;
@@ -105,14 +109,6 @@ const SnapshotClusterer* ResolveClusterer(const MiningParams& params);
 /// ValidateParams (eps <= 0 for geometric substrates). For default params
 /// this accepts exactly the set MiningParams::Valid() accepts.
 Status ValidateMiningParams(const MiningParams& params);
-
-// Store fetch helpers shared by clusterer implementations: serialize on
-// `store_mu` when non-null (Store implementations are not thread-safe).
-Status LockedScanTimestamp(Store* store, Timestamp t,
-                           std::vector<SnapshotPoint>* out,
-                           Mutex* store_mu);
-Status LockedGetPoints(Store* store, Timestamp t, const ObjectSet& objects,
-                       std::vector<SnapshotPoint>* out, Mutex* store_mu);
 
 }  // namespace k2
 

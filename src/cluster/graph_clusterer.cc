@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/check.h"
+
 namespace k2 {
 
 namespace {
@@ -83,8 +85,9 @@ std::vector<ObjectSet> ClusterFetched(std::span<const SnapshotPoint> points,
 
 Result<std::vector<ObjectSet>> CoLocationGraphClusterer::Cluster(
     Store* store, Timestamp t, const MiningParams& params,
-    SnapshotScratch* scratch, Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(LockedScanTimestamp(store, t, &scratch->points, store_mu));
+    SnapshotScratch* scratch, [[maybe_unused]] Mutex* store_mu) const {
+  K2_DCHECK(store_mu == nullptr);
+  K2_RETURN_NOT_OK(store->ScanTimestamp(t, &scratch->points));
   BuildInducedAdjacency(scratch->points, log_->EdgesAt(t), scratch);
   return GraphClusters(scratch->graph.oids, scratch->graph.adj_offsets,
                        scratch->graph.adj, params.m, &scratch->graph);
@@ -93,9 +96,9 @@ Result<std::vector<ObjectSet>> CoLocationGraphClusterer::Cluster(
 Result<std::vector<ObjectSet>> CoLocationGraphClusterer::ReCluster(
     Store* store, Timestamp t, const ObjectSet& objects,
     const MiningParams& params, SnapshotScratch* scratch,
-    Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(
-      LockedGetPoints(store, t, objects, &scratch->points, store_mu));
+    [[maybe_unused]] Mutex* store_mu) const {
+  K2_DCHECK(store_mu == nullptr);
+  K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
   BuildInducedAdjacency(scratch->points, log_->EdgesAt(t), scratch);
   return GraphClusters(scratch->graph.oids, scratch->graph.adj_offsets,
                        scratch->graph.adj, params.m, &scratch->graph);
@@ -112,17 +115,18 @@ Status EpsGraphClusterer::ValidateParams(const MiningParams& params) const {
 
 Result<std::vector<ObjectSet>> EpsGraphClusterer::Cluster(
     Store* store, Timestamp t, const MiningParams& params,
-    SnapshotScratch* scratch, Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(LockedScanTimestamp(store, t, &scratch->points, store_mu));
+    SnapshotScratch* scratch, [[maybe_unused]] Mutex* store_mu) const {
+  K2_DCHECK(store_mu == nullptr);
+  K2_RETURN_NOT_OK(store->ScanTimestamp(t, &scratch->points));
   return EpsGraphClusters(scratch->points, params.eps, params.m, scratch);
 }
 
 Result<std::vector<ObjectSet>> EpsGraphClusterer::ReCluster(
     Store* store, Timestamp t, const ObjectSet& objects,
     const MiningParams& params, SnapshotScratch* scratch,
-    Mutex* store_mu) const {
-  K2_RETURN_NOT_OK(
-      LockedGetPoints(store, t, objects, &scratch->points, store_mu));
+    [[maybe_unused]] Mutex* store_mu) const {
+  K2_DCHECK(store_mu == nullptr);
+  K2_RETURN_NOT_OK(store->GetPoints(t, objects, &scratch->points));
   return EpsGraphClusters(scratch->points, params.eps, params.m, scratch);
 }
 

@@ -1,6 +1,6 @@
 // Small work-stealing thread pool used to parallelize the embarrassingly
-// parallel loops of the mining pipeline (benchmark-point clustering and
-// hop-window verification in MineK2Hop). Each worker owns a deque: it pops
+// parallel loops of the mining driver (time shards, per-convoy extension
+// and validation in PartitionedK2HopMiner). Each worker owns a deque: it pops
 // its own tasks LIFO (cache-warm) and steals from the other workers FIFO
 // (oldest first), so nested submissions from inside tasks stay local while
 // idle workers drain the global backlog.

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <optional>
 #include <sstream>
-#include <thread>
 #include <unordered_map>
 
 #include "common/check.h"
-#include "common/thread_pool.h"
+#include "core/partition.h"
 
 namespace k2 {
 
@@ -26,9 +25,11 @@ std::string K2HopStats::DebugString() const {
 std::vector<Timestamp> BenchmarkPoints(TimeRange range, int k) {
   std::vector<Timestamp> points;
   if (range.empty() || k < 2) return points;
-  const Timestamp hop = std::max(1, k / 2);
-  for (Timestamp b = range.start; b <= range.end; b += hop) {
-    points.push_back(b);
+  // 64-bit cursor: the step past the last benchmark may leave int32 when
+  // the data ends within ⌊k/2⌋ of INT32_MAX.
+  const int64_t hop = std::max(1, k / 2);
+  for (int64_t b = range.start; b <= range.end; b += hop) {
+    points.push_back(static_cast<Timestamp>(b));
   }
   return points;
 }
@@ -81,8 +82,7 @@ std::vector<ObjectSet> CandidateClusters(const std::vector<ObjectSet>& left,
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
-    bool binary_order, bool verify_right_benchmark, SnapshotScratch* scratch,
-    Mutex* store_mu) {
+    bool binary_order, bool verify_right_benchmark, SnapshotScratch* scratch) {
   std::vector<ObjectSet> surviving = candidates;
   if (surviving.empty()) return surviving;
   std::optional<SnapshotScratch> local_scratch;
@@ -107,7 +107,7 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
     for (const ObjectSet& candidate : surviving) {
       K2_ASSIGN_OR_RETURN(
           std::vector<ObjectSet> clusters,
-          ReCluster(store, t, candidate, params, scratch, store_mu));
+          ReCluster(store, t, candidate, params, scratch));
       for (ObjectSet& c : clusters) next.push_back(std::move(c));
     }
     if (next.empty()) return next;  // no spanning convoy in this window
@@ -189,7 +189,7 @@ void AddEarliest(SpanningConvoyMerger::StartMap* map, ObjectSet set,
 ConvoyExtensionWalk::ConvoyExtensionWalk(const Convoy& seed, int dir)
     : dir_(dir),
       other_side_(dir > 0 ? seed.start : seed.end),
-      next_t_(dir > 0 ? seed.end + 1 : seed.start - 1),
+      next_t_(dir > 0 ? int64_t{seed.end} + 1 : int64_t{seed.start} - 1),
       frontier_{seed.objects} {}
 
 Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
@@ -199,7 +199,8 @@ Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
   std::optional<SnapshotScratch> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch.emplace();
   while (!frontier_.empty() && (dir_ > 0 ? next_t_ <= upto : next_t_ >= upto)) {
-    const Timestamp t = next_t_;
+    // In range: next_t_ lies between the seed and `upto`, both int32 ticks.
+    const auto t = static_cast<Timestamp>(next_t_);
     std::vector<ObjectSet> next;
     for (ObjectSet& set : frontier_) {
       K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
@@ -280,49 +281,23 @@ Status MineHopWindows(Store* store, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats, ThreadPool* pool,
-                      Mutex* store_mu,
-                      std::vector<SnapshotScratch>* scratches) {
+                      HopWindowPipelineStats* stats) {
   // Entry-point validation (ValidateMiningParams) happened in the caller;
   // shard drivers reaching this directly must uphold the same contract.
   K2_DCHECK(params.m >= 2 && params.k >= 2);
   HopWindowPipelineStats local_stats;
   HopWindowPipelineStats* s = stats != nullptr ? stats : &local_stats;
-  std::vector<SnapshotScratch> local_scratches;
-  if (scratches == nullptr) {
-    local_scratches.resize(pool != nullptr ? pool->num_workers() + 1 : 1);
-    scratches = &local_scratches;
-  }
+  SnapshotScratch scratch;
 
-  // Runs fn(slot, i) for i in [0, n): on the pool when present, inline
-  // otherwise. Statuses are collected per item; the first failure wins.
-  auto for_each_indexed =
-      [&](size_t n,
-          const std::function<Status(size_t, size_t)>& fn) -> Status {
-    if (pool == nullptr) {
-      for (size_t i = 0; i < n; ++i) K2_RETURN_NOT_OK(fn(0, i));
-      return Status::OK();
-    }
-    std::vector<Status> statuses(n);
-    pool->ParallelFor(n, [&](size_t slot, size_t i) {
-      statuses[i] = fn(slot, i);
-    });
-    for (Status& status : statuses) K2_RETURN_NOT_OK(status);
-    return Status::OK();
-  };
-
-  // Step 1: cluster the benchmark points, concurrently across points.
+  // Step 1: cluster the benchmark points.
   Stopwatch sw;
   s->benchmark_points = benchmarks.size();
   std::vector<std::vector<ObjectSet>> benchmark_clusters(benchmarks.size());
-  K2_RETURN_NOT_OK(
-      for_each_indexed(benchmarks.size(), [&](size_t slot, size_t i) {
-        auto result = ClusterSnapshot(store, benchmarks[i], params,
-                                      &(*scratches)[slot], store_mu);
-        K2_RETURN_NOT_OK(result.status());
-        benchmark_clusters[i] = result.MoveValue();
-        return Status::OK();
-      }));
+  for (size_t i = 0; i < benchmarks.size(); ++i) {
+    K2_ASSIGN_OR_RETURN(
+        benchmark_clusters[i],
+        ClusterSnapshot(store, benchmarks[i], params, &scratch));
+  }
   s->phases.Add("benchmark", sw.ElapsedSeconds());
 
   // Step 2: candidate clusters per hop-window.
@@ -343,21 +318,17 @@ Status MineHopWindows(Store* store, const MiningParams& params,
   }
   s->phases.Add("candidates", sw.ElapsedSeconds());
 
-  // Step 3: HWMT inside each window, concurrently across windows.
+  // Step 3: HWMT inside each window.
   sw.Restart();
   spanning->assign(num_windows, {});
-  K2_RETURN_NOT_OK(for_each_indexed(num_windows, [&](size_t slot, size_t w) {
-    if (candidates[w].empty()) return Status::OK();
-    auto result =
+  for (size_t w = 0; w < num_windows; ++w) {
+    if (candidates[w].empty()) continue;
+    K2_ASSIGN_OR_RETURN(
+        (*spanning)[w],
         HwmtSpanning(store, params, benchmarks[w], benchmarks[w + 1],
                      candidates[w], options.hwmt_binary_order,
                      /*verify_right_benchmark=*/!options.candidate_pruning,
-                     &(*scratches)[slot], store_mu);
-    K2_RETURN_NOT_OK(result.status());
-    (*spanning)[w] = result.MoveValue();
-    return Status::OK();
-  }));
-  for (size_t w = 0; w < num_windows; ++w) {
+                     &scratch));
     s->spanning_convoys += (*spanning)[w].size();
   }
   s->phases.Add("HWMT", sw.ElapsedSeconds());
@@ -368,83 +339,36 @@ Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options,
                                       K2HopStats* stats) {
   K2_RETURN_NOT_OK(ValidateMiningParams(params));
-  K2HopStats local;
-  K2HopStats* s = stats != nullptr ? stats : &local;
-  const IoStats io_before = store->io_stats();
-  s->total_points = store->num_points();
+  PartitionedK2HopMiner miner(store, params, options);
+  Result<std::vector<Convoy>> result = miner.Mine();
+  if (stats == nullptr) return result;
 
-  const TimeRange range = store->time_range();
-  if (range.length() < params.k) return std::vector<Convoy>{};
-
-  // Threading setup. With T = num_threads (default hardware_concurrency),
-  // the two embarrassingly parallel phases run on the calling thread plus
-  // T - 1 pool workers; T = 1 is the exact sequential path. Stores are not
-  // thread-safe, so fetches are serialized by `store_mu` while clustering
-  // runs concurrently on per-slot scratches. Outputs are gathered by
-  // benchmark/window index, so results are identical for every T.
-  int threads =
-      options.num_threads > 0
-          ? options.num_threads
-          : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  // Spawning the pool costs a thread create/join per worker. An explicit
-  // num_threads is always honored, but the default skips the pool for jobs
-  // too small to amortize it (sub-millisecond mines in tests and sweeps).
-  if (options.num_threads <= 0 && store->num_points() < 65536) threads = 1;
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads - 1);
-  Mutex store_mu;
-  std::vector<SnapshotScratch> scratches(static_cast<size_t>(threads));
-
-  // Steps 1–3: the per-window pipeline over the full benchmark grid.
-  const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
-  std::vector<std::vector<ObjectSet>> spanning;
-  HopWindowPipelineStats hw;
-  K2_RETURN_NOT_OK(MineHopWindows(
-      store, params, benchmarks, options, &spanning, &hw,
-      pool.has_value() ? &*pool : nullptr,
-      pool.has_value() ? &store_mu : nullptr, &scratches));
-  s->benchmark_points = hw.benchmark_points;
-  s->hop_windows = hw.hop_windows;
-  s->hop_windows_mined = hw.hop_windows_mined;
-  s->candidate_clusters = hw.candidate_clusters;
-  s->spanning_convoys = hw.spanning_convoys;
-  for (const auto& [name, seconds] : hw.phases.phases()) {
-    s->phases.Add(name, seconds);
+  // Fig. 8i vocabulary: the shards' pipeline phases summed (CPU time when
+  // shards overlap), the seam stitch as "merge", the rest as timed.
+  const PartitionedK2HopStats& p = miner.stats();
+  *stats = K2HopStats();
+  for (const ShardRunStats& run : p.shard_runs) {
+    for (const auto& [name, seconds] : run.pipeline.phases.phases()) {
+      stats->phases.Add(name, seconds);
+    }
+    stats->hop_windows_mined += run.pipeline.hop_windows_mined;
+    stats->candidate_clusters += run.pipeline.candidate_clusters;
   }
-
-  // Step 4: merge into maximal spanning convoys.
-  Stopwatch sw;
-  std::vector<Convoy> merged =
-      MergeSpanningConvoys(spanning, benchmarks, params.m);
-  s->merged_convoys = merged.size();
-  s->phases.Add("merge", sw.ElapsedSeconds());
-
-  // Step 5: extension to exact lifespans (right first, then left, as in
-  // Sec. 4.5); the k filter applies only after the left pass.
-  sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, ExtendRight(store, params, std::move(merged),
-                                          range.end));
-  s->phases.Add("extend-right", sw.ElapsedSeconds());
-  sw.Restart();
-  K2_ASSIGN_OR_RETURN(merged, ExtendLeft(store, params, std::move(merged),
-                                         range.start));
-  merged = FilterMinLength(std::move(merged), params.k);
-  s->phases.Add("extend-left", sw.ElapsedSeconds());
-  s->prevalidation_convoys = merged.size();
-
-  // Step 6: fully connected validation.
-  std::vector<Convoy> result;
-  if (options.validate) {
-    sw.Restart();
-    K2_ASSIGN_OR_RETURN(result,
-                        ValidateFullyConnected(store, std::move(merged), params,
-                                               /*recursive=*/true,
-                                               &s->validation));
-    s->phases.Add("validation", sw.ElapsedSeconds());
-  } else {
-    result = std::move(merged);
+  for (const auto& [name, seconds] : p.phases.phases()) {
+    if (name == "stitch") {
+      stats->phases.Add("merge", seconds);
+    } else if (name != "plan" && name != "shards") {
+      stats->phases.Add(name, seconds);
+    }
   }
-  s->io = IoStats::Delta(store->io_stats(), io_before);
+  stats->benchmark_points = p.benchmark_points;
+  stats->hop_windows = p.hop_windows;
+  stats->spanning_convoys = p.spanning_convoys;
+  stats->merged_convoys = p.merged_convoys;
+  stats->prevalidation_convoys = p.prevalidation_convoys;
+  stats->validation = p.validation;
+  stats->io = p.io;
+  stats->total_points = p.total_points;
   return result;
 }
 

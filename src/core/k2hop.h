@@ -15,7 +15,6 @@
 #include "baselines/validation.h"
 #include "cluster/store_clustering.h"
 #include "common/convoy.h"
-#include "common/mutex.h"
 #include "common/status.h"
 #include "common/stopwatch.h"
 #include "common/types.h"
@@ -23,9 +22,18 @@
 
 namespace k2 {
 
-class ThreadPool;
-
 struct K2HopOptions {
+  /// Time shards of the benchmark grid (core/partition.h); 0 = one per
+  /// worker thread. Always clamped to the number of hop-windows (a shard
+  /// mines at least one window).
+  int num_shards = 0;
+  /// Worker threads driving the shards and the per-convoy extension and
+  /// validation work; 0 = hardware_concurrency. Each worker reads through
+  /// its own Store::CreateReadSnapshot handle. 1 is the exact sequential
+  /// path: no pool and no snapshot, every read goes to the caller's store.
+  /// Results are byte-identical for every shard and thread count; IoStats
+  /// are not (adjacent shards both cluster their shared benchmark tick).
+  int num_threads = 0;
   /// HWMT probes hop-window ticks in binary-subdivision (farthest-first)
   /// order; false = naive left-to-right (ablation bench).
   bool hwmt_binary_order = true;
@@ -36,16 +44,6 @@ struct K2HopOptions {
   /// Run the final FC validation; false stops after extension and returns
   /// the (partially connected) extended candidates.
   bool validate = true;
-  /// Worker threads for the two embarrassingly parallel phases (benchmark
-  /// clustering and hop-window verification). 0 = hardware_concurrency,
-  /// except that small stores (< 64k points) run sequentially because the
-  /// pool costs more than it saves there; 1 = fully sequential (today's
-  /// single-threaded behaviour); an explicit value > 1 always uses the
-  /// pool. Results are
-  /// byte-identical for every thread count: per-item outputs are gathered by
-  /// benchmark/window index and the store is the only shared state (its
-  /// accesses are serialized; clustering runs outside the lock).
-  int num_threads = 0;
 };
 
 struct K2HopStats {
@@ -72,7 +70,9 @@ struct K2HopStats {
 };
 
 /// Mines all maximal fully connected (m,eps)-convoys with lifespan >= k
-/// (Algorithm 1). `stats` may be null.
+/// (Algorithm 1) on the time-sharded driver of core/partition.h, with
+/// `options.num_shards` shards (default: one per thread). `stats` may be
+/// null.
 Result<std::vector<Convoy>> MineK2Hop(Store* store, const MiningParams& params,
                                       const K2HopOptions& options = {},
                                       K2HopStats* stats = nullptr);
@@ -105,35 +105,26 @@ struct HopWindowPipelineStats {
 /// Steps 1–3 of the k/2-hop pipeline — benchmark-point clustering,
 /// candidate clusters, HWMT — over an injected benchmark sub-sequence:
 /// `benchmarks` may be any contiguous slice of the global ⌊k/2⌋ grid, which
-/// is how the partitioned miner runs the same pipeline per time shard.
-/// Fills `spanning->at(w)` with the spanning convoys of the window
+/// is how the sharded driver runs the pipeline per time shard. Sequential;
+/// concurrent shards each pass their own store handle. Fills
+/// `spanning->at(w)` with the spanning convoys of the window
 /// [benchmarks[w], benchmarks[w+1]] for w in [0, benchmarks.size() - 1).
-///
-/// With `pool`, benchmark clustering and window verification fan out over
-/// the pool (store fetches serialized by `store_mu`, results gathered by
-/// index — output is identical for every pool size); without it the run is
-/// sequential and `store_mu` may be null. `scratches` (optional) must hold
-/// one slot per concurrent runner (pool workers + 1, or 1 when sequential).
 /// `stats` may be null.
 Status MineHopWindows(Store* store, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats = nullptr,
-                      ThreadPool* pool = nullptr, Mutex* store_mu = nullptr,
-                      std::vector<SnapshotScratch>* scratches = nullptr);
+                      HopWindowPipelineStats* stats = nullptr);
 
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
 /// (used by the no-pruning ablation). Returns the surviving object sets.
-/// `scratch` (optional) makes repeated calls allocation-free; `store_mu`
-/// (optional) serializes store access when windows are verified
-/// concurrently.
+/// `scratch` (optional) makes repeated calls allocation-free.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order = true, bool verify_right_benchmark = false,
-    SnapshotScratch* scratch = nullptr, Mutex* store_mu = nullptr);
+    SnapshotScratch* scratch = nullptr);
 
 /// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
 /// into maximal spanning convoys. `spanning[i]` spans
@@ -198,8 +189,9 @@ class ConvoyExtensionWalk {
   ConvoyExtensionWalk(const Convoy& seed, int dir);
 
   bool done() const { return frontier_.empty(); }
-  /// The next tick Advance() will probe.
-  Timestamp next_tick() const { return next_t_; }
+  /// The next tick Advance() will probe. 64-bit: a walk that has passed
+  /// the last (or first) representable tick points one beyond it.
+  int64_t next_tick() const { return next_t_; }
   size_t num_branches() const { return frontier_.size(); }
 
   /// Probes ticks from next_tick() through `upto` (inclusive, in walk
@@ -215,7 +207,7 @@ class ConvoyExtensionWalk {
  private:
   int dir_;
   Timestamp other_side_;  ///< fixed boundary on the non-walking side
-  Timestamp next_t_;
+  int64_t next_t_;
   std::vector<ObjectSet> frontier_;  ///< live branches, sorted + unique
 };
 

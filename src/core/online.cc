@@ -53,7 +53,10 @@ Status OnlineK2HopMiner::AppendTick(Timestamp t,
   if (finalized()) {
     return Status::Invalid("AppendTick after Finalize");
   }
-  if (frontier_ != kInvalidTimestamp && t <= frontier_) {
+  // ticks_ingested, not the frontier, tells whether a tick arrived yet:
+  // kInvalidTimestamp (INT32_MIN) is itself a valid first tick.
+  const bool first_tick = stats_.ticks_ingested == 0;
+  if (!first_tick && t <= frontier_) {
     return Status::Invalid("AppendTick out of order: tick " +
                            std::to_string(t) + " is not past the frontier " +
                            std::to_string(frontier_));
@@ -90,7 +93,7 @@ Status OnlineK2HopMiner::AppendTick(Timestamp t,
       return append_status;
     }
   }
-  if (frontier_ == kInvalidTimestamp) {
+  if (first_tick) {
     start_ = t;
     next_benchmark_ = t;
   }
@@ -109,7 +112,7 @@ Status OnlineK2HopMiner::Drain() {
   // all benchmark points the frontier has passed can be clustered and their
   // hop-windows mined now.
   while (next_benchmark_ <= frontier_) {
-    K2_RETURN_NOT_OK(ProcessBenchmark(next_benchmark_));
+    K2_RETURN_NOT_OK(ProcessBenchmark(static_cast<Timestamp>(next_benchmark_)));
     next_benchmark_ += hop_;
   }
   return AdvanceWalks(frontier_);

@@ -115,7 +115,8 @@ class OnlineK2HopMiner {
   Result<std::vector<Convoy>> Finalize();
 
   bool finalized() const { return final_result_.has_value(); }
-  /// Latest ingested tick, or kInvalidTimestamp before the first append.
+  /// Latest ingested tick, or kInvalidTimestamp before the first append
+  /// (stats().ticks_ingested tells that apart from a first tick INT32_MIN).
   Timestamp frontier() const { return frontier_; }
   /// Right-extension walks currently suspended at the frontier.
   size_t open_walks() const { return walks_.size(); }
@@ -153,7 +154,8 @@ class OnlineK2HopMiner {
   Status status_ = Status::OK();  ///< sticky failure state
   Timestamp start_ = kInvalidTimestamp;
   Timestamp frontier_ = kInvalidTimestamp;
-  Timestamp next_benchmark_ = kInvalidTimestamp;
+  /// 64-bit: the step past the last benchmark may leave int32.
+  int64_t next_benchmark_ = kInvalidTimestamp;
   Timestamp last_benchmark_ = kInvalidTimestamp;
   bool have_prev_benchmark_ = false;
   Timestamp prev_benchmark_ = kInvalidTimestamp;

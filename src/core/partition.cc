@@ -49,7 +49,7 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 
 PartitionedK2HopMiner::PartitionedK2HopMiner(Store* store,
                                              const MiningParams& params,
-                                             PartitionedK2HopOptions options)
+                                             K2HopOptions options)
     : store_(store), params_(params), options_(options) {}
 
 Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
@@ -80,23 +80,27 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   stats_.hop_windows = benchmarks.size() - 1;
   stats_.seams = plan.size() - 1;
 
+  std::optional<ThreadPool> pool;
+  if (threads > 1) pool.emplace(threads - 1);
+
   // One read snapshot per concurrent runner: shards (and later per-convoy
   // walks) on different slots never share a store handle, so they fetch
-  // concurrently instead of serializing on one store mutex. Handles are
-  // created lazily on a slot's first task — snapshot setup can be real IO
-  // (the LSM engine re-reads every table's index and bloom), so idle slots
-  // (more cores than shards on a small mine) must not pay it. A slot's
-  // snapshot is only ever touched by the task currently holding that slot;
-  // the mutex merely serializes concurrent *creations* against the shared
-  // parent store. Setup IO is excluded from stats_.io by capturing each
-  // handle's counters right after creation.
+  // concurrently. Handles are created lazily on a slot's first task —
+  // snapshot setup can be real IO (the LSM engine re-reads every table's
+  // index and bloom), so idle slots (more cores than shards on a small
+  // mine) must not pay it. A slot's snapshot is only ever touched by the
+  // task currently holding that slot; the mutex merely serializes
+  // concurrent *creations* against the shared parent store. Setup IO is
+  // excluded from stats_.io by capturing each handle's counters right after
+  // creation. Without a pool nothing runs concurrently, so the one slot
+  // reads the caller's store: the sequential pipeline, read for read.
   const size_t slots = static_cast<size_t>(threads);
   std::vector<std::unique_ptr<Store>> snapshots(slots);
   std::vector<IoStats> snapshot_before(slots);
-  std::vector<std::vector<SnapshotScratch>> slot_scratch(slots);
-  for (size_t i = 0; i < slots; ++i) slot_scratch[i].resize(1);
+  std::vector<SnapshotScratch> slot_scratch(slots);
   Mutex snapshot_create_mu;
   auto slot_store = [&](size_t slot) -> Result<Store*> {
+    if (!pool.has_value()) return store_;
     if (snapshots[slot] == nullptr) {
       MutexLock lock(snapshot_create_mu);
       K2_ASSIGN_OR_RETURN(snapshots[slot], store_->CreateReadSnapshot());
@@ -104,9 +108,6 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
     }
     return snapshots[slot].get();
   };
-
-  std::optional<ThreadPool> pool;
-  if (threads > 1) pool.emplace(threads - 1);
 
   // Runs fn(slot, i) for i in [0, n): on the pool when present, inline
   // otherwise. Two items on the same slot never run concurrently, so
@@ -129,9 +130,6 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
 
   // --- shards: full per-window pipeline + local DCM merge, concurrently --
   sw.Restart();
-  K2HopOptions shard_options;
-  shard_options.hwmt_binary_order = options_.hwmt_binary_order;
-  shard_options.candidate_pruning = options_.candidate_pruning;
   std::vector<std::vector<std::vector<ObjectSet>>> spanning(plan.size());
   std::vector<std::vector<Convoy>> local_died(plan.size());
   std::vector<SpanningConvoyMerger::StartMap> local_active(plan.size());
@@ -146,21 +144,22 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
         const IoStats before = shard_store->io_stats();
         const std::span<const Timestamp> shard_benchmarks(
             benchmarks.data() + shard.first_window, shard.num_benchmarks());
-        K2_RETURN_NOT_OK(MineHopWindows(
-            shard_store, params_, shard_benchmarks, shard_options,
-            &spanning[i], &run.pipeline, /*pool=*/nullptr,
-            /*store_mu=*/nullptr, &slot_scratch[slot]));
+        K2_RETURN_NOT_OK(MineHopWindows(shard_store, params_,
+                                        shard_benchmarks, options_,
+                                        &spanning[i], &run.pipeline));
         // Local DCM merge. The fold starts empty, so deaths are only
         // locally maximal and starts are only locally earliest; the stitch
         // below decides whether that local view is globally valid (nothing
         // crossed the left seam) or must be replayed. Entries still
         // spanning the right boundary are exported, not closed.
+        Stopwatch merge_sw;
         SpanningConvoyMerger merger(params_.m);
         for (size_t w = 0; w < shard.num_windows; ++w) {
           merger.AddWindow(shard_benchmarks[w], spanning[i][w],
                            &local_died[i]);
         }
         local_active[i] = merger.TakeActive();
+        run.pipeline.phases.Add("merge", merge_sw.ElapsedSeconds());
         run.local_merged = local_died[i].size();
         run.seam_active = local_active[i].size();
         run.seconds = shard_sw.ElapsedSeconds();
@@ -224,8 +223,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
           K2_ASSIGN_OR_RETURN(Store* walk_store, slot_store(slot));
           ConvoyExtensionWalk walk(seeds[i], dir);
           K2_RETURN_NOT_OK(walk.Advance(walk_store, params_, limit,
-                                        &completed[i],
-                                        &slot_scratch[slot][0]));
+                                        &completed[i], &slot_scratch[slot]));
           walk.Flush(limit, &completed[i]);
           return Status::OK();
         }));
@@ -243,41 +241,51 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   merged = FilterMinLength(std::move(merged), params_.k);
   stats_.prevalidation_convoys = merged.size();
 
-  // --- validation: per-convoy FC checks, concurrently -------------------
+  // --- validation: FC checks, per convoy when concurrent ---------------
+  // Sequentially, one batch call validates every candidate; it skips a
+  // split piece already validated for an earlier candidate, which the
+  // independent per-convoy calls cannot.
   std::vector<Convoy> result;
   if (!options_.validate) {
     result = std::move(merged);
   } else {
-    Stopwatch validate_sw;
-    std::vector<std::vector<Convoy>> validated(merged.size());
-    std::vector<ValidationStats> validation_stats(merged.size());
-    K2_RETURN_NOT_OK(for_each_indexed(
-        merged.size(), [&](size_t slot, size_t i) -> Status {
-          K2_ASSIGN_OR_RETURN(Store* validate_store, slot_store(slot));
-          auto piece_result = ValidateFullyConnected(
-              validate_store, {merged[i]}, params_,
-              /*recursive=*/true, &validation_stats[i]);
-          K2_RETURN_NOT_OK(piece_result.status());
-          validated[i] = piece_result.MoveValue();
-          return Status::OK();
-        }));
-    // Second batch barrier: global maximality over the validated pieces.
-    MaximalConvoySet out;
-    for (std::vector<Convoy>& pieces : validated) {
-      for (Convoy& c : pieces) out.Insert(std::move(c));
+    sw.Restart();
+    if (!pool.has_value()) {
+      K2_ASSIGN_OR_RETURN(result,
+                          ValidateFullyConnected(store_, std::move(merged),
+                                                 params_, /*recursive=*/true,
+                                                 &stats_.validation));
+    } else {
+      std::vector<std::vector<Convoy>> validated(merged.size());
+      std::vector<ValidationStats> validation_stats(merged.size());
+      K2_RETURN_NOT_OK(for_each_indexed(
+          merged.size(), [&](size_t slot, size_t i) -> Status {
+            K2_ASSIGN_OR_RETURN(Store* validate_store, slot_store(slot));
+            K2_ASSIGN_OR_RETURN(
+                validated[i],
+                ValidateFullyConnected(validate_store, {merged[i]}, params_,
+                                       /*recursive=*/true,
+                                       &validation_stats[i]));
+            return Status::OK();
+          }));
+      // Second batch barrier: global maximality over the validated pieces.
+      MaximalConvoySet out;
+      for (std::vector<Convoy>& pieces : validated) {
+        for (Convoy& c : pieces) out.Insert(std::move(c));
+      }
+      for (const ValidationStats& vs : validation_stats) {
+        stats_.validation.candidates_in += vs.candidates_in;
+        stats_.validation.fc_accepted += vs.fc_accepted;
+        stats_.validation.split_rounds += vs.split_rounds;
+        stats_.validation.reclusterings += vs.reclusterings;
+      }
+      result = out.TakeSorted();
     }
-    for (const ValidationStats& vs : validation_stats) {
-      stats_.validation.candidates_in += vs.candidates_in;
-      stats_.validation.fc_accepted += vs.fc_accepted;
-      stats_.validation.split_rounds += vs.split_rounds;
-      stats_.validation.reclusterings += vs.reclusterings;
-    }
-    result = out.TakeSorted();
-    stats_.phases.Add("validation", validate_sw.ElapsedSeconds());
+    stats_.phases.Add("validation", sw.ElapsedSeconds());
   }
 
-  // IO total: parent delta (fallback snapshots delegate there) plus every
-  // native snapshot's own counters since creation.
+  // IO total: parent delta (the sequential path and fallback snapshots
+  // read there) plus every native snapshot's own counters since creation.
   stats_.io = IoStats::Delta(store_->io_stats(), parent_before);
   for (size_t i = 0; i < slots; ++i) {
     if (snapshots[i] == nullptr) continue;  // slot never ran a task
@@ -291,7 +299,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
 // PartitionedK2HopMiner::Mine() validates as its first statement.
 Result<std::vector<Convoy>> MinePartitionedK2Hop(
     Store* store, const MiningParams& params,
-    const PartitionedK2HopOptions& options, PartitionedK2HopStats* stats) {
+    const K2HopOptions& options, PartitionedK2HopStats* stats) {
   PartitionedK2HopMiner miner(store, params, options);
   auto result = miner.Mine();
   if (stats != nullptr) *stats = miner.stats();

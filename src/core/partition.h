@@ -7,9 +7,10 @@
 // of the store, and a sequential stitch walks the shard seams, carrying the
 // spanning-convoy fold state across boundaries. Extension walks and FC
 // validation then fan out per convoy, and the batch maximality barriers are
-// replayed over the gathered results — the output is byte-identical to
-// batch MineK2Hop for every shard and thread count (asserted by the
-// partitioned differential suite).
+// replayed over the gathered results — the output is the same for every
+// shard and thread count (asserted by the partitioned differential suite).
+// This is the only mining driver: MineK2Hop is a call into it. On one
+// thread it runs the plain sequential pipeline against the caller's store.
 //
 // A shard is the distribution unit: it touches only its own tick slice
 // (plus the shared boundary benchmarks) through a self-contained store
@@ -26,20 +27,9 @@
 
 namespace k2 {
 
-struct PartitionedK2HopOptions {
-  /// Number of time shards; 0 = one per worker thread. Always clamped to
-  /// the number of hop-windows (a shard mines at least one window).
-  int num_shards = 0;
-  /// Worker threads driving shards and per-convoy extension/validation;
-  /// 0 = hardware_concurrency, 1 = sequential (still sharded and stitched,
-  /// which is what the differential suite exercises).
-  int num_threads = 0;
-  /// Same ablation switches as K2HopOptions; keep them equal to the batch
-  /// run being compared against.
-  bool hwmt_binary_order = true;
-  bool candidate_pruning = true;
-  bool validate = true;
-};
+/// The sharded driver's options are the miner's options (num_shards,
+/// num_threads and the ablation switches); the old name stays for callers.
+using PartitionedK2HopOptions = K2HopOptions;
 
 /// One shard of the plan: a contiguous run of hop-windows of the global
 /// benchmark grid.
@@ -66,6 +56,8 @@ std::vector<ShardPlan> PlanShards(const std::vector<Timestamp>& benchmarks,
 /// Per-shard outcome, for the bench tables and seam diagnostics.
 struct ShardRunStats {
   TimeRange ticks;
+  /// Pipeline phases "benchmark", "candidates", "HWMT", plus "merge" for
+  /// the shard's local DCM fold.
   HopWindowPipelineStats pipeline;
   size_t local_merged = 0;  ///< convoys that died inside the shard's fold
   size_t seam_active = 0;   ///< fold entries still spanning the right seam
@@ -102,14 +94,16 @@ struct PartitionedK2HopStats {
 };
 
 /// Mines all maximal fully connected (m,eps)-convoys with lifespan >= k by
-/// sharding the timeline. Byte-identical to MineK2Hop over the same store
-/// and parameters for every option combination.
+/// sharding the timeline. The convoys are identical for every shard and
+/// thread count.
 class PartitionedK2HopMiner {
  public:
   /// `store` is borrowed and must outlive the miner; it must not be
-  /// mutated while Mine() runs (snapshots of it are live).
+  /// mutated while Mine() runs (snapshots of it are live). With more than
+  /// one thread, every worker reads through its own CreateReadSnapshot
+  /// handle; with one thread, Mine() reads `store` itself.
   PartitionedK2HopMiner(Store* store, const MiningParams& params,
-                        PartitionedK2HopOptions options = {});
+                        K2HopOptions options = {});
 
   /// Runs the partitioned pipeline once. May be called repeatedly (each
   /// call resets the stats).
@@ -120,14 +114,14 @@ class PartitionedK2HopMiner {
  private:
   Store* store_;
   MiningParams params_;
-  PartitionedK2HopOptions options_;
+  K2HopOptions options_;
   PartitionedK2HopStats stats_;
 };
 
 /// Convenience one-shot wrapper; `stats` may be null.
 Result<std::vector<Convoy>> MinePartitionedK2Hop(
     Store* store, const MiningParams& params,
-    const PartitionedK2HopOptions& options = {},
+    const K2HopOptions& options = {},
     PartitionedK2HopStats* stats = nullptr);
 
 }  // namespace k2

@@ -65,14 +65,14 @@ double PruningRatio(const IoStats& io, uint64_t total_points);
 /// Abstract trajectory store keyed by the composite clustered key (t, oid).
 ///
 /// Thread-safety contract: stores are single-writer, and reads are NOT
-/// internally synchronized — concurrent readers (the parallel mining
-/// pipeline) must serialize every access through one external mutex (see
-/// `store_mu` in cluster/store_clustering.h). In return, no const accessor
-/// (`time_range`, `timestamps`, `num_points`) mutates internal state, so
-/// const snapshots of the metadata may be taken without the store lock as
-/// long as no writer is active. Writers (`BulkLoad`, `Append`) must have
-/// exclusive access — "single-writer" means one *external* writer thread;
-/// the contract says nothing about what the engine does internally.
+/// internally synchronized — each concurrent reader (a worker of the
+/// sharded mining driver) takes its own `CreateReadSnapshot()` handle. In
+/// return, no const accessor (`time_range`, `timestamps`, `num_points`)
+/// mutates internal state, so const snapshots of the metadata may be taken
+/// without a lock as long as no writer is active. Writers (`BulkLoad`,
+/// `Append`) must have exclusive access — "single-writer" means one
+/// *external* writer thread; the contract says nothing about what the
+/// engine does internally.
 ///
 /// Engines MAY run internal background threads (the LSM store's
 /// flush/compaction worker) as long as that is invisible under this
@@ -89,7 +89,7 @@ double PruningRatio(const IoStats& io, uint64_t total_points);
 ///
 /// For lock-free concurrent reads, `CreateReadSnapshot` hands out
 /// independent read-only handles (one per reader thread) instead of sharing
-/// the store under a mutex — the access path the partitioned miner uses to
+/// the store under a mutex — the access path the mining driver uses to
 /// keep shards from serializing on one store. Snapshot creation drains any
 /// internal background work first, so a snapshot is a stable point-in-time
 /// view.

@@ -9,6 +9,7 @@
 #include "core/k2hop.h"
 #include "gen/synthetic.h"
 #include "storage/memory_store.h"
+#include "storage/store.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -18,6 +19,7 @@ using ::k2::testing::C;
 using ::k2::testing::kGone;
 using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
+using ::k2::testing::ScratchDir;
 
 // ---------------------------------------------------------------------------
 // BenchmarkPoints (Lemma 3 coverage)
@@ -390,8 +392,13 @@ TEST(K2HopTest, PrunesNoiseObjectsFromPointReads) {
     tracks.push_back(noise);
   }
   auto store = MakeMemStore(MakeTracks(tracks));
+  // One thread: the paper's points processed. Shards each re-scan their
+  // boundary benchmark tick in full, so sharded IO depends on the core
+  // count.
+  K2HopOptions options;
+  options.num_threads = 1;
   K2HopStats stats;
-  auto out = MineK2Hop(store.get(), {2, 8, 1.0}, {}, &stats);
+  auto out = MineK2Hop(store.get(), {2, 8, 1.0}, options, &stats);
   ASSERT_TRUE(out.ok());
   ASSERT_EQ(out.value().size(), 1u);
   EXPECT_GT(stats.pruning_ratio(), 0.5);
@@ -409,8 +416,9 @@ TEST(K2HopTest, ValidateFalseReturnsPartiallyConnectedCandidates) {
 }
 
 TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
-  // The parallel pipeline must be exactly result-equivalent: benchmark
-  // clustering and hop-window verification are gathered by index, so any
+  // The sharded driver must be exactly result-equivalent: shard outputs
+  // are gathered by index and stitched at the seams, per-convoy work is
+  // folded through the batch maximality barriers, so every num_shards x
   // num_threads yields byte-identical convoy lists. Dense random walks are
   // the adversarial input (chance convoys, splits, merges).
   for (uint64_t seed : {7u, 19u, 42u}) {
@@ -429,13 +437,92 @@ TEST(K2HopTest, ResultsAreIdenticalForEveryThreadCount) {
     ASSERT_TRUE(sequential.ok());
     ASSERT_FALSE(sequential.value().empty()) << "weak test input, seed=" << seed;
 
-    for (int threads : {2, 8}) {
-      options.num_threads = threads;
-      auto parallel = MineK2Hop(store.get(), params, options);
-      ASSERT_TRUE(parallel.ok());
-      EXPECT_EQ(parallel.value(), sequential.value())
-          << "seed=" << seed << " threads=" << threads;
+    for (int shards : {0, 1, 3}) {
+      for (int threads : {1, 2, 8}) {
+        options.num_shards = shards;
+        options.num_threads = threads;
+        auto mined = MineK2Hop(store.get(), params, options);
+        ASSERT_TRUE(mined.ok());
+        EXPECT_EQ(mined.value(), sequential.value())
+            << "seed=" << seed << " shards=" << shards
+            << " threads=" << threads;
+      }
     }
+  }
+}
+
+void ExpectSameIo(const IoStats& a, const IoStats& b) {
+  EXPECT_EQ(a.snapshot_scans, b.snapshot_scans);
+  EXPECT_EQ(a.scanned_points, b.scanned_points);
+  EXPECT_EQ(a.point_queries, b.point_queries);
+  EXPECT_EQ(a.point_hits, b.point_hits);
+  EXPECT_EQ(a.bytes_read, b.bytes_read);
+  EXPECT_EQ(a.seeks, b.seeks);
+  EXPECT_EQ(a.pages_read, b.pages_read);
+  EXPECT_EQ(a.pages_cached, b.pages_cached);
+  EXPECT_EQ(a.bloom_negative, b.bloom_negative);
+  EXPECT_EQ(a.sstables_touched, b.sstables_touched);
+  EXPECT_EQ(a.tier_sstables_touched, b.tier_sstables_touched);
+  EXPECT_EQ(a.tier_bloom_skipped, b.tier_bloom_skipped);
+}
+
+/// Algorithm 1 spelled out through the public phase functions.
+std::vector<Convoy> ComposePhases(Store* store, const MiningParams& params) {
+  const TimeRange range = store->time_range();
+  const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
+  std::vector<std::vector<ObjectSet>> spanning;
+  K2_CHECK_OK(MineHopWindows(store, params, benchmarks, {}, &spanning));
+  std::vector<Convoy> merged =
+      MergeSpanningConvoys(spanning, benchmarks, params.m);
+  auto right = ExtendRight(store, params, std::move(merged), range.end);
+  K2_CHECK_OK(right.status());
+  auto left = ExtendLeft(store, params, right.MoveValue(), range.start);
+  K2_CHECK_OK(left.status());
+  auto validated = ValidateFullyConnected(
+      store, FilterMinLength(left.MoveValue(), params.k), params);
+  K2_CHECK_OK(validated.status());
+  return validated.MoveValue();
+}
+
+TEST(K2HopTest, OneThreadIsTheSequentialPhaseComposition) {
+  // num_threads = 1 makes no pool and no read snapshot: the driver reads
+  // the caller's store exactly as the plain phase composition does, so
+  // the convoys AND every IoStats field (LSM block-cache hits included)
+  // match. Two identically loaded stores keep the caches comparable.
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = 19;
+  const Dataset data = GenerateRandomWalk(spec);
+  const MiningParams params{3, 6, 7.0};
+  for (StoreKind kind : {StoreKind::kMemory, StoreKind::kLsm}) {
+    SCOPED_TRACE(StoreKindName(kind));
+    auto load = [&](const std::string& tag) {
+      auto store = CreateStore(kind, ScratchDir(tag));
+      K2_CHECK_OK(store.status());
+      K2_CHECK_OK(store.value()->BulkLoad(data));
+      return store.MoveValue();
+    };
+    std::unique_ptr<Store> composed_store = load("k2hop_composed");
+    std::unique_ptr<Store> driver_store = load("k2hop_driver");
+
+    const IoStats before = composed_store->io_stats();
+    const std::vector<Convoy> composed =
+        ComposePhases(composed_store.get(), params);
+    const IoStats composed_io =
+        IoStats::Delta(composed_store->io_stats(), before);
+    ASSERT_FALSE(composed.empty()) << "weak test input";
+
+    K2HopOptions options;
+    options.num_threads = 1;
+    K2HopStats stats;
+    auto mined = MineK2Hop(driver_store.get(), params, options, &stats);
+    ASSERT_TRUE(mined.ok());
+    EXPECT_EQ(mined.value(), composed);
+    ExpectSameIo(stats.io, composed_io);
+    EXPECT_GT(composed_io.points_read(), 0u);
   }
 }
 

@@ -18,8 +18,9 @@ using ::k2::testing::MakeMemStore;
 using ::k2::testing::MakeTracks;
 using ::k2::testing::Str;
 
+/// The sequential pipeline: one thread, no pool, no snapshot.
 std::vector<Convoy> BatchMine(Store* store, const MiningParams& params) {
-  auto result = MineK2Hop(store, params);
+  auto result = MineK2Hop(store, params, {.num_threads = 1});
   K2_CHECK(result.ok());
   return result.MoveValue();
 }

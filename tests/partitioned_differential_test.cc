@@ -1,6 +1,7 @@
 // Partitioned-vs-batch differential: mining a store through
 // PartitionedK2HopMiner must produce a convoy set IDENTICAL (same vector,
-// canonical order) to batch MineK2Hop with the same parameters — for every
+// canonical order) to one-thread MineK2Hop — the sequential pipeline, no
+// pool and no snapshot — with the same parameters — for every
 // storage engine, every shard count in {1, 2, 3, 7} plus a prime count vs.
 // k, on adversarial dense random walks, gapped tick streams, and Brinkhoff
 // data. A gold-oracle anchor keeps a shared batch/partitioned bug from
@@ -24,7 +25,7 @@ using ::k2::testing::Str;
 
 std::vector<Convoy> BatchMine(const Dataset& data, const MiningParams& params) {
   auto store = MakeMemStore(data);
-  auto result = MineK2Hop(store.get(), params);
+  auto result = MineK2Hop(store.get(), params, {.num_threads = 1});
   K2_CHECK(result.ok());
   return result.MoveValue();
 }

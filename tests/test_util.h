@@ -8,6 +8,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include <gtest/gtest.h>
 
 #include "common/check.h"
@@ -59,12 +61,39 @@ inline std::string Str(const std::vector<Convoy>& convoys) {
 
 #define EXPECT_SAME_CONVOYS(a, b) EXPECT_EQ(::k2::testing::Str(a), ::k2::testing::Str(b))
 
-/// Fresh scratch directory under the build tree for disk-backed stores.
+/// Creates a fresh directory `<parent>/<prefix><tag>_<pid>_<n>` (n counts
+/// calls in this process) and removes it again at process exit. The pid
+/// and the counter make every name unique: ctest runs each TEST as its own
+/// process, so under `ctest -j` tests sharing a tag would otherwise delete
+/// each other's stores. Returns "" when the directory cannot be created.
+inline std::string UniqueScratchDir(const std::filesystem::path& parent,
+                                    const std::string& prefix,
+                                    const std::string& tag) {
+  struct Registry {
+    std::vector<std::filesystem::path> dirs;
+    int next = 0;
+    ~Registry() {
+      std::error_code ec;
+      for (const auto& dir : dirs) std::filesystem::remove_all(dir, ec);
+    }
+  };
+  static Registry registry;
+  const std::filesystem::path dir =
+      parent / (prefix + tag + "_" + std::to_string(::getpid()) + "_" +
+                std::to_string(registry.next++));
+  std::error_code ec;
+  std::filesystem::remove_all(dir, ec);  // a stale dir of a recycled pid
+  std::filesystem::create_directories(dir, ec);
+  if (ec) return "";
+  registry.dirs.push_back(dir);
+  return dir.string();
+}
+
+/// Fresh, process-unique scratch directory for disk-backed stores.
 inline std::string ScratchDir(const std::string& tag) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() / ("k2hop_test_" + tag)).string();
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
+  const std::string dir = UniqueScratchDir(
+      std::filesystem::temp_directory_path(), "k2hop_test_", tag);
+  K2_CHECK(!dir.empty());
   return dir;
 }
 
