@@ -86,8 +86,8 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   // One read snapshot per concurrent runner: shards (and later per-convoy
   // walks) on different slots never share a store handle, so they fetch
   // concurrently. Handles are created lazily on a slot's first task —
-  // snapshot setup can be real IO (the LSM engine re-reads every table's
-  // index and bloom), so idle slots (more cores than shards on a small
+  // snapshot setup can be real IO (the file and B+-tree engines open
+  // their own handles), so idle slots (more cores than shards on a small
   // mine) must not pay it. A slot's snapshot is only ever touched by the
   // task currently holding that slot; the mutex merely serializes
   // concurrent *creations* against the shared parent store. Setup IO is

@@ -1,6 +1,6 @@
 // Bloom filter over packed (t, oid) keys; one filter per SSTable lets point
-// reads skip tables that cannot contain the key (counted in IoStats as
-// bloom_negative).
+// reads (under LsmStoreOptions::use_bloom) skip keys a table cannot
+// contain (counted in IoStats as bloom_negative).
 #ifndef K2_STORAGE_LSM_BLOOM_H_
 #define K2_STORAGE_LSM_BLOOM_H_
 

@@ -1,13 +1,13 @@
 #include "storage/lsm/sstable.h"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <sys/mman.h>
-#define K2_SSTABLE_HAS_MMAP 1
-#endif
 
 #include "common/crc32c.h"
 #include "storage/store.h"
@@ -16,14 +16,36 @@ namespace k2::lsm {
 
 namespace {
 
-// One on-disk entry: key + x + y, 24 bytes.
-constexpr size_t kEntrySize = 24;
-constexpr size_t kIndexEntrySize = 28;  // first_key + last_key + offset + count
-// index_offset + bloom_offset + num_entries + meta_crc + version + magic.
-constexpr size_t kFooterSize = 8 + 8 + 8 + 4 + 4 + 8;
-
 void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
+}
+
+// In-place entry reads. The mapping holds bytes, not C++ objects, so fields
+// are loaded with memcpy (one plain load each once compiled).
+uint64_t LoadKey(const char* entry) {
+  uint64_t key;
+  std::memcpy(&key, entry, 8);
+  return key;
+}
+
+LsmValue LoadValue(const char* entry) {
+  LsmValue value;
+  std::memcpy(&value.x, entry + 8, 8);
+  std::memcpy(&value.y, entry + 16, 8);
+  return value;
+}
+
+// Index of the first of the entries [lo, hi) at `data` whose key >= key.
+uint32_t LowerBound(const char* data, uint32_t lo, uint32_t hi, uint64_t key) {
+  while (lo < hi) {
+    const uint32_t mid = lo + (hi - lo) / 2;
+    if (LoadKey(data + size_t{mid} * kEntrySize) < key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
 }
 
 }  // namespace
@@ -151,52 +173,56 @@ Status SSTableBuilder::Finish() {
 // ---------------------------------------------------------------------------
 
 SSTable::~SSTable() {
-#ifdef K2_SSTABLE_HAS_MMAP
-  if (map_ != nullptr) {
-    munmap(const_cast<char*>(map_), map_size_);
-  }
-#endif
-  if (file_ != nullptr) std::fclose(file_);
+  if (map_ != nullptr) munmap(const_cast<char*>(map_), map_size_);
 }
 
-Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
-                                               uint64_t seq, IoStats* stats) {
-  std::unique_ptr<SSTable> table(new SSTable());
-  table->path_ = path;
-  table->seq_ = seq;
-  table->stats_ = stats;
+Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
+                                                     uint64_t seq,
+                                                     uint32_t tier) {
   // k2-lint: allow(lsm-io-through-env): read path — Env only shims
-  // write-path IO for fault injection; reads go straight to libc + mmap.
-  table->file_ = std::fopen(path.c_str(), "rb");
-  if (table->file_ == nullptr) {
+  // write-path IO for fault injection; reads go straight to the mmap.
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::IOError("cannot open " + path + ": " +
                            std::strerror(errno));
   }
-  std::FILE* f = table->file_;
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    return Status::IOError("size seek failed on " + path);
+  struct stat st;
+  if (fstat(fd, &st) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::IOError("cannot stat " + path + ": " + std::strerror(err));
   }
-  const long end = std::ftell(f);
-  if (end < 0) {
-    return Status::IOError("size probe failed on " + path);
-  }
-  const uint64_t file_size = static_cast<uint64_t>(end);
+  const uint64_t file_size = static_cast<uint64_t>(st.st_size);
   if (file_size < kFooterSize) {
+    ::close(fd);
     return Status::Invalid("truncated SSTable (no footer) in " + path);
   }
-
-  if (std::fseek(f, -static_cast<long>(kFooterSize), SEEK_END) != 0) {
-    return Status::IOError("footer seek failed on " + path);
+  // Tables are immutable once built: every read is served in place from
+  // this read-only mapping, which outlives the descriptor.
+  void* map = mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
+                   MAP_PRIVATE, fd, 0);
+  const int map_errno = errno;
+  ::close(fd);
+  if (map == MAP_FAILED) {
+    return Status::IOError("cannot mmap " + path + ": " +
+                           std::strerror(map_errno));
   }
+  std::shared_ptr<SSTable> table(new SSTable());
+  table->map_ = static_cast<const char*>(map);
+  table->map_size_ = static_cast<size_t>(file_size);
+  table->path_ = path;
+  table->seq_ = seq;
+  table->tier_ = tier;
+
+  const char* footer = table->map_ + file_size - kFooterSize;
   uint64_t index_offset, bloom_offset, num_entries, magic;
   uint32_t meta_crc, version;
-  if (std::fread(&index_offset, 8, 1, f) != 1 ||
-      std::fread(&bloom_offset, 8, 1, f) != 1 ||
-      std::fread(&num_entries, 8, 1, f) != 1 ||
-      std::fread(&meta_crc, 4, 1, f) != 1 ||
-      std::fread(&version, 4, 1, f) != 1 || std::fread(&magic, 8, 1, f) != 1) {
-    return Status::IOError("footer read failed on " + path);
-  }
+  std::memcpy(&index_offset, footer, 8);
+  std::memcpy(&bloom_offset, footer + 8, 8);
+  std::memcpy(&num_entries, footer + 16, 8);
+  std::memcpy(&meta_crc, footer + 24, 4);
+  std::memcpy(&version, footer + 28, 4);
+  std::memcpy(&magic, footer + 32, 8);
   if (magic != kSstMagic) {
     return Status::Invalid("bad SSTable magic in " + path);
   }
@@ -211,37 +237,36 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
     return Status::Invalid("SSTable footer offsets out of range in " + path);
   }
 
-  // Read the whole metadata region and verify its checksum before trusting
-  // a single field of it.
-  const size_t meta_size = static_cast<size_t>(meta_end - index_offset);
-  std::vector<char> meta(meta_size);
-  if (std::fseek(f, static_cast<long>(index_offset), SEEK_SET) != 0) {
-    return Status::IOError("index seek failed on " + path);
-  }
-  if (meta_size > 0 && std::fread(meta.data(), 1, meta_size, f) != meta_size) {
-    return Status::IOError("index read failed on " + path);
-  }
-  if (Crc32c(meta.data(), meta.size()) != meta_crc) {
+  // Verify the metadata checksum before trusting a single field of it.
+  const char* p = table->map_ + index_offset;
+  if (Crc32c(p, meta_end - index_offset) != meta_crc) {
     return Status::Invalid("SSTable meta checksum mismatch in " + path);
   }
 
+  // Reads walk the index forward and binary-search inside blocks in place,
+  // so the index must describe contiguous, non-empty, strictly ordered
+  // blocks that tile the data region exactly.
   table->num_entries_ = num_entries;
   const size_t num_blocks = (bloom_offset - index_offset) / kIndexEntrySize;
   table->index_.resize(num_blocks);
-  const char* p = meta.data();
-  uint64_t counted = 0;
-  for (IndexEntry& e : table->index_) {
+  uint64_t data_end = 0;
+  for (size_t b = 0; b < num_blocks; ++b, p += kIndexEntrySize) {
+    IndexEntry& e = table->index_[b];
     std::memcpy(&e.first_key, p, 8);
     std::memcpy(&e.last_key, p + 8, 8);
     std::memcpy(&e.offset, p + 16, 8);
     std::memcpy(&e.count, p + 24, 4);
-    p += kIndexEntrySize;
-    if (e.offset + uint64_t{e.count} * kEntrySize > index_offset) {
+    if (e.offset != data_end || e.count == 0 ||
+        uint64_t{e.count} * kEntrySize > index_offset - data_end) {
       return Status::Invalid("SSTable block index out of range in " + path);
     }
-    counted += e.count;
+    data_end += uint64_t{e.count} * kEntrySize;
+    if (e.first_key > e.last_key ||
+        (b > 0 && table->index_[b - 1].last_key >= e.first_key)) {
+      return Status::Invalid("SSTable block index out of order in " + path);
+    }
   }
-  if (counted != num_entries) {
+  if (data_end != index_offset || data_end / kEntrySize != num_entries) {
     return Status::Invalid("SSTable entry count mismatch in " + path);
   }
 
@@ -260,145 +285,86 @@ Result<std::unique_ptr<SSTable>> SSTable::Open(const std::string& path,
     table->min_key_ = table->index_.front().first_key;
     table->max_key_ = table->index_.back().last_key;
   }
-
-#ifdef K2_SSTABLE_HAS_MMAP
-  // Tables are immutable once built: map the whole file read-only so block
-  // fetches are page-cache copies instead of fseek+fread syscall pairs. On
-  // mapping failure the stdio handle stays as the fallback read path.
-  if (file_size > 0) {
-    void* map = mmap(nullptr, static_cast<size_t>(file_size), PROT_READ,
-                     MAP_PRIVATE, fileno(f), 0);
-    if (map != MAP_FAILED) {
-      table->map_ = static_cast<const char*>(map);
-      table->map_size_ = static_cast<size_t>(file_size);
-    }
-  }
-#endif
-  return table;
+  return std::shared_ptr<const SSTable>(std::move(table));
 }
 
-Result<const std::vector<SSTable::Entry>*> SSTable::GetBlock(size_t b) {
-  if (CachedBlock* cb = FindCached(b)) {
-    cb->last_used = ++cache_clock_;
-    if (stats_ != nullptr) ++stats_->pages_cached;
-    return &cb->entries;
-  }
-  return LoadBlock(b);
+size_t SSTable::FirstBlockNotBefore(uint64_t key) const {
+  return static_cast<size_t>(
+      std::partition_point(index_.begin(), index_.end(),
+                           [key](const IndexEntry& e) {
+                             return e.last_key < key;
+                           }) -
+      index_.begin());
 }
 
-Result<const std::vector<SSTable::Entry>*> SSTable::LoadBlock(size_t b) {
-  // Evict the least recently used slot (empty slots sort first).
-  CachedBlock* victim = &cache_[0];
-  for (CachedBlock& cb : cache_) {
-    if (cb.last_used < victim->last_used) victim = &cb;
-  }
-  const IndexEntry& e = index_[b];
-  victim->index = -1;  // invalid while being overwritten
-  victim->entries.resize(e.count);
-  // Entry mirrors the on-disk block byte-for-byte, so the block decodes
-  // with a single copy straight into the entry array.
-  static_assert(sizeof(Entry) == kEntrySize &&
-                std::is_trivially_copyable_v<Entry>);
-  const size_t nbytes = e.count * kEntrySize;
-  if (map_ != nullptr) {
-    if (e.offset + nbytes > map_size_) {
-      return Status::IOError("block out of mapped range on " + path_);
+size_t SSTable::MultiGet(std::span<const uint64_t> keys, LsmValue* values,
+                         uint8_t* found, bool probe_bloom,
+                         IoStats* stats) const {
+  size_t i = static_cast<size_t>(
+      std::lower_bound(keys.begin(), keys.end(), min_key_) - keys.begin());
+  if (num_entries_ == 0 || i == keys.size() || keys[i] > max_key_) return 0;
+  ++stats->sstables_touched;
+  ChargeTier(&stats->tier_sstables_touched);
+  // Every key up to max_key_ has a block with last_key >= key (the last
+  // block ends at max_key_), so the walk never runs off the index.
+  size_t b = FirstBlockNotBefore(keys[i]);
+  size_t block_read = index_.size();  // block `data` points at, none yet
+  const char* data = nullptr;
+  uint32_t pos = 0;  // entries of block_read before pos hold smaller keys
+  size_t hits = 0;
+  for (; i < keys.size() && keys[i] <= max_key_; ++i) {
+    if (found[i] != 0) continue;
+    const uint64_t key = keys[i];
+    while (index_[b].last_key < key) ++b;
+    if (key < index_[b].first_key) continue;  // between two blocks
+    if (probe_bloom && !bloom_.MayContain(key)) {
+      ++stats->bloom_negative;
+      ChargeTier(&stats->tier_bloom_skipped);
+      continue;
     }
-    std::memcpy(victim->entries.data(), map_ + e.offset, nbytes);
-  } else {
-    if (std::fseek(file_, static_cast<long>(e.offset), SEEK_SET) != 0) {
-      return Status::IOError("block seek failed on " + path_);
+    if (b != block_read) {
+      if (block_read == index_.size() || b != block_read + 1) ++stats->seeks;
+      ++stats->pages_read;
+      block_read = b;
+      data = map_ + index_[b].offset;
+      pos = 0;
     }
-    if (std::fread(victim->entries.data(), kEntrySize, e.count, file_) !=
-        e.count) {
-      return Status::IOError("block read failed on " + path_);
+    // Keys ascend, so each search resumes where the previous one ended.
+    const uint32_t count = index_[b].count;
+    pos = LowerBound(data, pos, count, key);
+    const char* entry = data + size_t{pos} * kEntrySize;
+    if (pos != count && LoadKey(entry) == key) {
+      values[i] = LoadValue(entry);
+      found[i] = 1;
+      ++hits;
     }
   }
-  if (stats_ != nullptr) {
-    // A fetch of anything but the next contiguous block repositions the
-    // medium; sequential scans charge one seek for the whole run.
-    if (static_cast<int64_t>(b) != last_fetched_block_ + 1) ++stats_->seeks;
-    ++stats_->pages_read;
-    stats_->bytes_read += nbytes;
-  }
-  last_fetched_block_ = static_cast<int64_t>(b);
-  victim->index = static_cast<int64_t>(b);
-  victim->last_used = ++cache_clock_;
-  return &victim->entries;
+  stats->bytes_read += hits * kEntrySize;
+  return hits;
 }
 
-Result<bool> SSTable::Get(uint64_t key, LsmValue* value, bool use_bloom) {
-  if (num_entries_ == 0 || key < min_key_ || key > max_key_) return false;
-  // Binary search the resident index for the block whose last_key >= key.
-  size_t lo = 0, hi = index_.size();
-  while (lo < hi) {
-    const size_t mid = (lo + hi) / 2;
-    if (index_[mid].last_key < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  if (lo == index_.size() || index_[lo].first_key > key) return false;
-  // The bloom filter gates only the block fetch: when the candidate block
-  // is already cached, probing the block directly is cheaper than probing
-  // the filter — and the point queries of one GetPoints batch land in the
-  // same block almost every time.
-  const std::vector<Entry>* entries;
-  if (CachedBlock* cb = FindCached(lo)) {
-    cb->last_used = ++cache_clock_;
-    if (stats_ != nullptr) ++stats_->pages_cached;
-    entries = &cb->entries;
-  } else {
-    if (use_bloom && !bloom_.MayContain(key)) {
-      if (stats_ != nullptr) {
-        ++stats_->bloom_negative;
-        ChargeTier(&stats_->tier_bloom_skipped);
-      }
-      return false;
-    }
-    K2_ASSIGN_OR_RETURN(entries, LoadBlock(lo));
-  }
-  if (stats_ != nullptr) {
-    ++stats_->sstables_touched;
-    ChargeTier(&stats_->tier_sstables_touched);
-  }
-  auto it = std::lower_bound(
-      entries->begin(), entries->end(), key,
-      [](const Entry& entry, uint64_t k) { return entry.key < k; });
-  if (it != entries->end() && it->key == key) {
-    *value = it->value;
-    return true;
-  }
-  return false;
-}
-
-Status SSTable::Scan(uint64_t lo, uint64_t hi,
-                     const std::function<void(uint64_t, const LsmValue&)>& fn) {
-  if (!Overlaps(lo, hi)) return Status::OK();
-  if (stats_ != nullptr) {
-    ++stats_->sstables_touched;
-    ChargeTier(&stats_->tier_sstables_touched);
-  }
-  // First block that can contain lo.
-  size_t b = 0, b_hi = index_.size();
-  while (b < b_hi) {
-    const size_t mid = (b + b_hi) / 2;
-    if (index_[mid].last_key < lo) {
-      b = mid + 1;
-    } else {
-      b_hi = mid;
-    }
-  }
+void SSTable::Scan(uint64_t lo, uint64_t hi,
+                   const std::function<void(uint64_t, const LsmValue&)>& fn,
+                   IoStats* stats) const {
+  if (!Overlaps(lo, hi)) return;
+  ++stats->sstables_touched;
+  ChargeTier(&stats->tier_sstables_touched);
+  uint64_t rows = 0;
+  size_t b = FirstBlockNotBefore(lo);
+  // Consecutive blocks: one seek for the whole run.
+  if (b < index_.size() && index_[b].first_key <= hi) ++stats->seeks;
   for (; b < index_.size() && index_[b].first_key <= hi; ++b) {
-    K2_ASSIGN_OR_RETURN(const std::vector<Entry>* entries, GetBlock(b));
-    for (const Entry& entry : *entries) {
-      if (entry.key < lo) continue;
-      if (entry.key > hi) return Status::OK();
-      fn(entry.key, entry.value);
+    ++stats->pages_read;
+    const char* entry = map_ + index_[b].offset;
+    for (uint32_t n = 0; n < index_[b].count; ++n, entry += kEntrySize) {
+      const uint64_t key = LoadKey(entry);
+      if (key < lo) continue;
+      if (key > hi) break;
+      fn(key, LoadValue(entry));
+      ++rows;
     }
   }
-  return Status::OK();
+  stats->bytes_read += rows * kEntrySize;
 }
 
 }  // namespace k2::lsm

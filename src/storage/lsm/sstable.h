@@ -1,6 +1,6 @@
 // Immutable sorted-string table: 4 KiB data blocks of packed (key, x, y)
 // entries, a sparse block index and a bloom filter kept resident, data blocks
-// fetched from disk on demand. File layout (format v2):
+// read in place from a read-only mmap of the file. File layout (format v2):
 //
 //   [block 0][block 1]...[block B-1]
 //   [index: B * {uint64 first_key, uint64 last_key, uint64 offset, u32 count}]
@@ -14,14 +14,16 @@
 // fsyncs, closes, and renames onto the final path (rename + parent-dir
 // fsync), so a reader can never observe a partially written table under the
 // final name. Open() refuses truncated or corrupt files with named errors
-// instead of parsing garbage — recovery after a crash depends on it.
+// instead of parsing garbage — recovery after a crash depends on it. Data
+// blocks carry no checksum: damage inside one can change the rows read from
+// that block, but the validated index keeps every read inside the mapping.
 #ifndef K2_STORAGE_LSM_SSTABLE_H_
 #define K2_STORAGE_LSM_SSTABLE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -38,7 +40,12 @@ namespace k2::lsm {
 
 inline constexpr uint64_t kSstMagic = 0x6b32686f70737374ULL;  // "k2hopsst"
 inline constexpr uint32_t kSstFormatVersion = 2;
+inline constexpr size_t kEntrySize = 24;  // key + x + y
 inline constexpr size_t kBlockEntries = 170;  // 24 B/entry -> ~4 KiB blocks
+// first_key + last_key + offset + count.
+inline constexpr size_t kIndexEntrySize = 28;
+// index_offset + bloom_offset + num_entries + meta_crc + version + magic.
+inline constexpr size_t kFooterSize = 8 + 8 + 8 + 4 + 4 + 8;
 
 /// Writes one SSTable; Add() must be called in strictly increasing key order.
 /// Nothing appears under the final path until Finish() has fsynced and
@@ -86,23 +93,44 @@ class SSTableBuilder {
   Status deferred_error_;
 };
 
-/// Read-side handle; index and bloom are resident, blocks are read on demand.
+/// Read-side handle over the read-only mmap of one immutable table file.
+/// The index and bloom are resident; data blocks are read in place, so a
+/// handle holds no mutable read state: every read takes the IoStats it
+/// charges as an argument, and one handle may be shared (as
+/// shared_ptr<const SSTable>) by any number of concurrent readers.
+///
+/// IO model charged per call: `sstables_touched` once per call that reaches
+/// the table, `pages_read` once per distinct block the call reads, `seeks`
+/// once per run of adjacent blocks, `bytes_read` 24 B per row handed out,
+/// `bloom_negative` once per key the bloom rules out. Nothing is cached, so
+/// `pages_cached` stays 0.
 class SSTable {
  public:
-  static Result<std::unique_ptr<SSTable>> Open(const std::string& path,
-                                               uint64_t seq, IoStats* stats);
+  /// Maps `path` and validates footer, checksummed metadata and index
+  /// order. `tier` is the LSM tier the MANIFEST places the table in (the
+  /// file format does not record it); it drives the per-tier IoStats
+  /// fan-out counters.
+  static Result<std::shared_ptr<const SSTable>> Open(const std::string& path,
+                                                     uint64_t seq,
+                                                     uint32_t tier = 0);
   ~SSTable();
 
   SSTable(const SSTable&) = delete;
   SSTable& operator=(const SSTable&) = delete;
 
-  /// Point lookup; returns true when found. `use_bloom = false` bypasses the
-  /// bloom filter (ablation benchmark).
-  Result<bool> Get(uint64_t key, LsmValue* value, bool use_bloom = true);
+  /// Looks up ascending, duplicate-free `keys` in one forward walk over the
+  /// blocks: one index binary search for the first key, then block by
+  /// block. Keys with found[i] != 0 are skipped (a newer source already
+  /// holds them); a key found here sets values[i] and found[i] = 1.
+  /// `probe_bloom` consults the bloom filter before reading a key's block.
+  /// Returns the number of keys this call found.
+  size_t MultiGet(std::span<const uint64_t> keys, LsmValue* values,
+                  uint8_t* found, bool probe_bloom, IoStats* stats) const;
 
   /// Visits entries with lo <= key <= hi in key order.
-  Status Scan(uint64_t lo, uint64_t hi,
-              const std::function<void(uint64_t, const LsmValue&)>& fn);
+  void Scan(uint64_t lo, uint64_t hi,
+            const std::function<void(uint64_t, const LsmValue&)>& fn,
+            IoStats* stats) const;
 
   uint64_t min_key() const { return min_key_; }
   uint64_t max_key() const { return max_key_; }
@@ -111,16 +139,7 @@ class SSTable {
   uint64_t seq() const { return seq_; }
   const std::string& path() const { return path_; }
   /// LSM tier this table lives in (0 = fresh flush, grows with compaction).
-  /// Set by the store right after Open — the file format does not record it;
-  /// the MANIFEST does. Drives the per-tier fan-out counters in IoStats.
   uint32_t tier() const { return tier_; }
-  void set_tier(uint32_t tier) { tier_ = tier; }
-  /// Redirects all future IO accounting to `stats` (which must outlive this
-  /// table). The store's flush/compaction jobs open freshly built tables
-  /// against a job-local IoStats while the store mutex is dropped, then
-  /// re-point the handle at the store's shared counters once they re-hold
-  /// the lock — Open-time reads must never charge shared stats unlocked.
-  void set_io_sink(IoStats* stats) { stats_ = stats; }
   bool Overlaps(uint64_t lo, uint64_t hi) const {
     return num_entries_ > 0 && lo <= max_key_ && hi >= min_key_;
   }
@@ -135,62 +154,25 @@ class SSTable {
     uint32_t count;
   };
 
-  /// In-memory mirror of one on-disk entry: key + x + y, 24 bytes with no
-  /// padding, so whole blocks decode with a single read.
-  struct Entry {
-    uint64_t key;
-    LsmValue value;
-  };
-
-  /// Small per-table LRU block cache (the HBase-block-cache analogue of the
-  /// paper's LSMT engine). One snapshot tick spans a handful of blocks and
-  /// the mining loops re-probe the same tick once per candidate, so a few
-  /// resident blocks turn almost all of those repeat reads into hits.
-  static constexpr size_t kCachedBlocks = 8;
-  struct CachedBlock {
-    int64_t index = -1;       // block number, -1 = empty slot
-    uint64_t last_used = 0;   // LRU clock value
-    std::vector<Entry> entries;
-  };
-
-  /// Returns the cache slot holding block `b`, or nullptr on a miss.
-  CachedBlock* FindCached(size_t b) {
-    for (CachedBlock& cb : cache_) {
-      if (cb.index == static_cast<int64_t>(b)) return &cb;
-    }
-    return nullptr;
-  }
-
-  /// Cache-miss path: copies block `b` out of the read-only mmap of the
-  /// immutable table file (no syscalls; the copy also keeps the entry array
-  /// aligned and type-safe), falling back to fseek/fread when the file
-  /// could not be mapped. Evicts the LRU slot.
-  Result<const std::vector<Entry>*> LoadBlock(size_t b);
-
-  /// FindCached + LoadBlock, with hit/miss accounting.
-  Result<const std::vector<Entry>*> GetBlock(size_t b);
-
-  std::string path_;
-  std::FILE* file_ = nullptr;
-  const char* map_ = nullptr;  // read-only mmap of the whole file
-  size_t map_size_ = 0;
-  std::vector<IndexEntry> index_;
-  BloomFilter bloom_;
-  CachedBlock cache_[kCachedBlocks];
-  uint64_t cache_clock_ = 0;
-  int64_t last_fetched_block_ = -2;  // -2: nothing fetched yet
-  uint64_t num_entries_ = 0;
-  uint64_t min_key_ = 0;
-  uint64_t max_key_ = 0;
-  uint64_t seq_ = 0;
-  uint32_t tier_ = 0;
-  IoStats* stats_ = nullptr;
+  /// First block whose last_key >= key (index_.size() when none).
+  size_t FirstBlockNotBefore(uint64_t key) const;
 
   /// Bumps `(*v)[tier_]`, growing the vector to cover this tier.
   void ChargeTier(std::vector<uint64_t>* v) const {
     if (v->size() <= tier_) v->resize(tier_ + 1, 0);
     ++(*v)[tier_];
   }
+
+  std::string path_;
+  const char* map_ = nullptr;  // read-only mmap of the whole file
+  size_t map_size_ = 0;
+  std::vector<IndexEntry> index_;
+  BloomFilter bloom_;
+  uint64_t num_entries_ = 0;
+  uint64_t min_key_ = 0;
+  uint64_t max_key_ = 0;
+  uint64_t seq_ = 0;
+  uint32_t tier_ = 0;
 };
 
 }  // namespace k2::lsm

@@ -26,24 +26,26 @@ void AppendRaw(std::string* out, const void* data, size_t n) {
   out->append(static_cast<const char*>(data), n);
 }
 
+using TableList = std::vector<std::shared_ptr<const SSTable>>;
+
 // Read path shared by the store and its snapshots, templated over the
 // memtable representation: the live store reads its active SkipList plus any
 // immutable memtables awaiting flush, a snapshot reads one frozen sorted
-// run. `mems` is newest first, `tables` is newest first; a row's rank is its
-// source position (memtables before all tables), so newest-wins dedup is a
-// sort by (key, rank). Per-table IO is charged to whatever IoStats each
-// SSTable handle was opened with.
+// run. `mems` is newest first, `tables` is newest first, and table reads
+// charge `stats`.
 
 template <typename MemtableT>
 Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
-                        const std::vector<SSTable*>& tables, Timestamp t,
+                        const TableList& tables, Timestamp t,
                         std::vector<SnapshotPoint>* out, IoStats* stats) {
   out->clear();
   ++stats->snapshot_scans;
   const uint64_t lo = MinKeyOf(t);
   const uint64_t hi = MaxKeyOf(t);
 
-  // Collect versions from every overlapping source, newest-wins per key.
+  // Collect versions from every overlapping source; a row's rank is its
+  // source position (memtables before all tables), so newest-wins dedup is
+  // a sort by (key, rank).
   struct Row {
     uint64_t key;
     uint64_t rank;  // smaller = newer source
@@ -56,11 +58,12 @@ Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
     });
   }
   for (size_t j = 0; j < tables.size(); ++j) {
-    if (!tables[j]->Overlaps(lo, hi)) continue;
-    K2_RETURN_NOT_OK(
-        tables[j]->Scan(lo, hi, [&](uint64_t key, const LsmValue& value) {
+    tables[j]->Scan(
+        lo, hi,
+        [&](uint64_t key, const LsmValue& value) {
           rows.push_back(Row{key, num_mems + j, value});
-        }));
+        },
+        stats);
   }
   std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
     if (a.key != b.key) return a.key < b.key;
@@ -75,30 +78,46 @@ Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
   return Status::OK();
 }
 
+// Point reads of one tick: the sorted ObjectSet becomes sorted keys once;
+// each memtable is probed per key, then each table is walked once,
+// newest first, skipping keys a newer source already found.
 template <typename MemtableT>
 Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
-                    const std::vector<SSTable*>& tables, bool use_bloom,
-                    Timestamp t, const ObjectSet& objects,
-                    std::vector<SnapshotPoint>* out, IoStats* stats) {
+                    const TableList& tables, bool use_bloom, Timestamp t,
+                    const ObjectSet& objects, std::vector<SnapshotPoint>* out,
+                    IoStats* stats) {
   out->clear();
   stats->point_queries += objects.size();
-  for (ObjectId oid : objects) {
-    const uint64_t key = MakeKey(t, oid);
-    LsmValue value;
-    bool found = false;
-    for (size_t i = 0; i < num_mems; ++i) {
-      if (!mems[i]->empty() && mems[i]->Get(key, &value)) {
-        found = true;
-        break;
+  struct Scratch {
+    std::vector<uint64_t> keys;
+    std::vector<LsmValue> values;
+    std::vector<uint8_t> found;
+  };
+  thread_local Scratch scratch;
+  const size_t n = objects.size();
+  scratch.keys.clear();
+  for (ObjectId oid : objects) scratch.keys.push_back(MakeKey(t, oid));
+  scratch.values.resize(n);
+  scratch.found.assign(n, 0);
+  size_t remaining = n;
+  for (size_t m = 0; m < num_mems && remaining > 0; ++m) {
+    if (mems[m]->empty()) continue;
+    for (size_t i = 0; i < n; ++i) {
+      if (scratch.found[i] == 0 &&
+          mems[m]->Get(scratch.keys[i], &scratch.values[i])) {
+        scratch.found[i] = 1;
+        --remaining;
       }
     }
-    if (!found) {
-      for (SSTable* table : tables) {
-        K2_ASSIGN_OR_RETURN(found, table->Get(key, &value, use_bloom));
-        if (found) break;
-      }
-    }
-    if (found) out->push_back(SnapshotPoint{oid, value.x, value.y});
+  }
+  for (size_t j = 0; j < tables.size() && remaining > 0; ++j) {
+    remaining -= tables[j]->MultiGet(scratch.keys, scratch.values.data(),
+                                     scratch.found.data(), use_bloom, stats);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    if (scratch.found[i] == 0) continue;
+    out->push_back(SnapshotPoint{KeyOid(scratch.keys[i]), scratch.values[i].x,
+                                 scratch.values[i].y});
   }
   stats->point_hits += out->size();
   return Status::OK();
@@ -135,25 +154,17 @@ class SortedRun {
   std::vector<std::pair<uint64_t, LsmValue>> rows_;
 };
 
-/// Read-only view over the immutable table files: private SSTable handles
-/// (own mmap, cache, bloom, stats) plus the frozen memtable run.
+/// Read-only view: the parent's immutable SSTable handles, shared, plus the
+/// frozen memtable run, charging the snapshot's own io_stats().
 class LsmReadSnapshot final : public Store {
  public:
-  LsmReadSnapshot(SortedRun memtable, bool use_bloom,
+  LsmReadSnapshot(SortedRun memtable, TableList tables, bool use_bloom,
                   std::vector<Timestamp> timestamps, uint64_t num_points)
       : memtable_(std::move(memtable)),
+        tables_(std::move(tables)),
         use_bloom_(use_bloom),
         timestamps_(std::move(timestamps)),
         num_points_(num_points) {}
-
-  Status AddTable(const std::string& path, uint64_t seq, uint32_t tier) {
-    K2_ASSIGN_OR_RETURN(std::unique_ptr<SSTable> table,
-                        SSTable::Open(path, seq, &io_stats_));
-    table->set_tier(tier);
-    tables_.push_back(std::move(table));
-    flat_.push_back(tables_.back().get());
-    return Status::OK();
-  }
 
   std::string name() const override { return "lsmt"; }
   Status BulkLoad(const Dataset&) override {
@@ -164,12 +175,12 @@ class LsmReadSnapshot final : public Store {
   }
   Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
     const SortedRun* mem = &memtable_;
-    return LsmScanTimestamp(&mem, 1, flat_, t, out, &io_stats_);
+    return LsmScanTimestamp(&mem, 1, tables_, t, out, &io_stats_);
   }
   Status GetPoints(Timestamp t, const ObjectSet& objects,
                    std::vector<SnapshotPoint>* out) override {
     const SortedRun* mem = &memtable_;
-    return LsmGetPoints(&mem, 1, flat_, use_bloom_, t, objects, out,
+    return LsmGetPoints(&mem, 1, tables_, use_bloom_, t, objects, out,
                         &io_stats_);
   }
   TimeRange time_range() const override {
@@ -182,9 +193,8 @@ class LsmReadSnapshot final : public Store {
   uint64_t num_points() const override { return num_points_; }
 
  private:
-  std::vector<std::unique_ptr<SSTable>> tables_;
-  std::vector<SSTable*> flat_;  // newest first, mirrors the parent's order
   SortedRun memtable_;
+  TableList tables_;  // newest first, as in the parent
   bool use_bloom_;
   std::vector<Timestamp> timestamps_;
   uint64_t num_points_;
@@ -263,10 +273,8 @@ Status LsmStore::Recover() {
   //    atomically, so a validation failure here is real corruption.
   for (const ManifestTable& t : manifest.tables) {
     if (t.tier >= tiers_.size()) tiers_.resize(t.tier + 1);
-    K2_ASSIGN_OR_RETURN(
-        std::unique_ptr<SSTable> table,
-        SSTable::Open(dir_ + "/" + t.file, t.seq, &io_stats_));
-    table->set_tier(t.tier);
+    K2_ASSIGN_OR_RETURN(std::shared_ptr<const SSTable> table,
+                        SSTable::Open(dir_ + "/" + t.file, t.seq, t.tier));
     next_seq_ = std::max(next_seq_, t.seq + 1);
     tiers_[t.tier].push_back(std::move(table));
   }
@@ -308,11 +316,12 @@ Status LsmStore::Recover() {
   K2_RETURN_NOT_OK(WriteManifestLocked());
 
   // 4. Rebuild the derived metadata (tick list, row count) from the tables.
-  for (SSTable* table : flat_newest_first_) {
+  for (const auto& table : flat_newest_first_) {
     num_points_ += table->num_entries();
-    K2_RETURN_NOT_OK(table->Scan(
+    table->Scan(
         0, ~0ULL,
-        [&](uint64_t key, const LsmValue&) { ticks.insert(KeyTime(key)); }));
+        [&](uint64_t key, const LsmValue&) { ticks.insert(KeyTime(key)); },
+        &io_stats_);
   }
   tick_cache_.assign(ticks.begin(), ticks.end());
 
@@ -543,13 +552,10 @@ Status LsmStore::FlushFrontLocked() {
     if (s.ok()) s = builder.Add(key, value);
   });
   if (s.ok()) s = builder.Finish();
-  std::unique_ptr<SSTable> table;
-  // Open against a job-local IoStats: io_stats_ is shared with foreground
-  // reads that charge it under mu_, and the lock is dropped here. The handle
-  // is re-pointed at io_stats_ once the lock is re-held, below.
-  IoStats open_io;
+  std::shared_ptr<const SSTable> table;
   if (s.ok()) {
-    auto opened = SSTable::Open(path, table_seq, &open_io);
+    // Fresh flushes always enter the newest tier.
+    auto opened = SSTable::Open(path, table_seq, /*tier=*/0);
     if (opened.ok()) {
       table = opened.MoveValue();
     } else {
@@ -558,11 +564,8 @@ Status LsmStore::FlushFrontLocked() {
   }
   mu_.Lock();
   if (!s.ok()) return s;
-  io_stats_.Accumulate(open_io);
-  table->set_io_sink(&io_stats_);
 
   if (tiers_.empty()) tiers_.emplace_back();
-  table->set_tier(0);  // fresh flushes always enter the newest tier
   tiers_[0].push_back(std::move(table));
   pending_.pop_front();
   RebuildFlatViewLocked();
@@ -579,27 +582,18 @@ Status LsmStore::CompactLocked() {
   for (size_t tier = 0; tier < tiers_.size(); ++tier) {
     if (tiers_[tier].size() < options_.tier_fanout) continue;
 
-    // Snapshot the inputs; only this thread mutates tiers_, so the set is
-    // stable across the unlocked merge.
-    struct Input {
-      std::string path;
-      uint64_t seq;
-      uint64_t entries;
-    };
-    std::vector<Input> inputs;
-    for (const auto& table : tiers_[tier]) {
-      inputs.push_back(Input{table->path(), table->seq(), table->num_entries()});
-    }
+    // Take the inputs; only this thread mutates tiers_, so the set is
+    // stable across the unlocked merge, and table handles are immutable,
+    // so the merge reads them while foreground readers do too.
+    const TableList inputs = tiers_[tier];
     const uint64_t out_seq = next_seq_++;
     const std::string out_path = TableFilePath(out_seq);
+    const uint32_t out_tier = static_cast<uint32_t>(tier + 1);
 
     mu_.Unlock();
-    // Merge through private handles so the foreground's table handles (with
-    // their mutable block caches) are never shared across threads. Sort-based
-    // merge: materialize (key, seq, value), keep the newest version of each
-    // key. Table sizes at our scales fit comfortably in memory.
+    // Sort-based merge: materialize (key, seq, value), keep the newest
+    // version of each key. Table sizes at our scales fit in memory.
     IoStats merge_io;
-    IoStats open_io;  // Open-time reads of the merged table (query-path IO)
     struct Row {
       uint64_t key;
       uint64_t seq;
@@ -607,62 +601,53 @@ Status LsmStore::CompactLocked() {
     };
     std::vector<Row> rows;
     uint64_t total = 0;
-    for (const Input& in : inputs) total += in.entries;
+    for (const auto& in : inputs) total += in->num_entries();
     rows.reserve(total);
-    Status s;
-    for (const Input& in : inputs) {
-      auto handle = SSTable::Open(in.path, in.seq, &merge_io);
-      if (!handle.ok()) {
-        s = handle.status();
-        break;
-      }
-      s = handle.value()->Scan(0, ~0ULL,
-                               [&](uint64_t key, const LsmValue& value) {
-                                 rows.push_back(Row{key, in.seq, value});
-                               });
-      if (!s.ok()) break;
+    for (const auto& in : inputs) {
+      in->Scan(
+          0, ~0ULL,
+          [&](uint64_t key, const LsmValue& value) {
+            rows.push_back(Row{key, in->seq(), value});
+          },
+          &merge_io);
     }
-    std::unique_ptr<SSTable> merged;
-    if (s.ok()) {
-      std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-        if (a.key != b.key) return a.key < b.key;
-        return a.seq > b.seq;  // newest first within a key
-      });
+    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
+      if (a.key != b.key) return a.key < b.key;
+      return a.seq > b.seq;  // newest first within a key
+    });
+    Status s;
+    {
       SSTableBuilder builder(env_, out_path);
       builder.Reserve(rows.size());
-      for (size_t i = 0; i < rows.size(); ++i) {
+      for (size_t i = 0; i < rows.size() && s.ok(); ++i) {
         if (i > 0 && rows[i].key == rows[i - 1].key) continue;  // older version
         s = builder.Add(rows[i].key, rows[i].value);
-        if (!s.ok()) break;
       }
       if (s.ok()) s = builder.Finish();
-      if (s.ok()) {
-        // Same unlocked-Open rule as the flush job: charge a local IoStats,
-        // fold into the shared counters under the lock below.
-        auto opened = SSTable::Open(out_path, out_seq, &open_io);
-        if (opened.ok()) {
-          merged = opened.MoveValue();
-        } else {
-          s = opened.status();
-        }
+    }
+    std::shared_ptr<const SSTable> merged;
+    if (s.ok()) {
+      auto opened = SSTable::Open(out_path, out_seq, out_tier);
+      if (opened.ok()) {
+        merged = opened.MoveValue();
+      } else {
+        s = opened.status();
       }
     }
     mu_.Lock();
     bg_io_.Accumulate(merge_io);
     if (!s.ok()) return s;
-    io_stats_.Accumulate(open_io);
-    merged->set_io_sink(&io_stats_);
 
-    std::vector<std::unique_ptr<SSTable>> graveyard;
+    TableList graveyard;
     graveyard.swap(tiers_[tier]);
     if (tier + 1 >= tiers_.size()) tiers_.emplace_back();
-    merged->set_tier(static_cast<uint32_t>(tier + 1));
     tiers_[tier + 1].push_back(std::move(merged));
     ++compactions_run_;
     RebuildFlatViewLocked();
     K2_RETURN_NOT_OK(WriteManifestLocked());
-    // The inputs left the MANIFEST with that commit; their files and handles
-    // can go (recovery sweeps any unlink a crash interrupts).
+    // The inputs left the MANIFEST with that commit; their files can go
+    // (recovery sweeps any unlink a crash interrupts). A read snapshot still
+    // holding a handle keeps reading its mapping.
     for (const auto& old : graveyard) env_->RemoveFile(old->path());
     // A cascade may now be due in tier+1; the loop continues upward.
   }
@@ -671,11 +656,11 @@ Status LsmStore::CompactLocked() {
 
 void LsmStore::RebuildFlatViewLocked() {
   flat_newest_first_.clear();
-  for (auto& tier : tiers_) {
-    for (auto& table : tier) flat_newest_first_.push_back(table.get());
+  for (const auto& tier : tiers_) {
+    for (const auto& table : tier) flat_newest_first_.push_back(table);
   }
   std::sort(flat_newest_first_.begin(), flat_newest_first_.end(),
-            [](const SSTable* a, const SSTable* b) { return a->seq() > b->seq(); });
+            [](const auto& a, const auto& b) { return a->seq() > b->seq(); });
 }
 
 // ---------------------------------------------------------------------------
@@ -839,14 +824,8 @@ Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {
   memtable_->ForEach(
       [&](uint64_t key, const LsmValue& value) { run.Add(key, value); });
   auto snapshot = std::make_unique<LsmReadSnapshot>(
-      std::move(run), options_.use_bloom, tick_cache_, num_points_);
-  // Open a private handle per immutable table, preserving newest-first
-  // order; re-reading each table's resident index and bloom is the
-  // per-snapshot setup cost, charged to the snapshot's io_stats().
-  for (SSTable* table : flat_newest_first_) {
-    K2_RETURN_NOT_OK(
-        snapshot->AddTable(table->path(), table->seq(), table->tier()));
-  }
+      std::move(run), flat_newest_first_, options_.use_bloom, tick_cache_,
+      num_points_);
   return std::unique_ptr<Store>(std::move(snapshot));
 }
 

@@ -1,8 +1,9 @@
 // Log-Structured Merge-tree store ("k2-LSMT", paper Sec. 5.2): skip-list
 // memtable, immutable SSTables, size-tiered compaction. Because the composite
 // key is (t, oid), all rows of a timestamp are co-located, so a benchmark
-// scan is one range read with a single seek, while point reads use per-table
-// bloom filters — precisely the access mix k/2-hop generates.
+// scan is one range read with a single seek, and the point reads of one tick
+// are one forward merge-walk per table over its mmap — precisely the access
+// mix k/2-hop generates.
 //
 // Crash safety: every mutation is framed into a write-ahead log before it
 // touches the memtable (Append fdatasyncs the WAL per tick by default), the
@@ -41,8 +42,12 @@ struct LsmStoreOptions {
   size_t memtable_limit = 128 * 1024;
   /// Tables per tier before they are merged into the next tier.
   size_t tier_fanout = 4;
-  /// Ablation switch: disable bloom filters on the read path.
-  bool use_bloom = true;
+  /// Probe each table's bloom filter before a point read looks in the
+  /// key's block. Off by default: blocks are read in place from the mmap,
+  /// and the probe costs more than the in-block search it saves — with
+  /// every tick split over two tables it saved 0.1% of block reads at 2-3x
+  /// the walk time. An ablation switch; the filter is always built.
+  bool use_bloom = false;
   /// File-system shim for every write-path IO (WAL, SSTable build,
   /// MANIFEST); nullptr = Env::Default(). The fault-injection tests
   /// substitute a FaultInjectionEnv here.
@@ -102,10 +107,12 @@ class LsmStore final : public Store {
     return num_points_;
   }
 
-  /// Native snapshot: drains background work, then opens a private SSTable
-  /// handle (own mmap, block cache, bloom, IO accounting) per immutable
-  /// table file and freezes the memtable into a sorted run, so concurrent
-  /// readers share nothing mutable.
+  /// Native snapshot: drains background work, freezes the memtable into a
+  /// sorted run, and shares the parent's SSTable handles. A handle is
+  /// immutable (reads go in place to its mmap and charge the IoStats the
+  /// caller passes), so concurrent readers share nothing mutable and setup
+  /// opens no file. The snapshot owns its table references: it keeps
+  /// reading a table after the parent compacts it away.
   Result<std::unique_ptr<Store>> CreateReadSnapshot() override
       K2_EXCLUDES(mu_);
 
@@ -197,10 +204,11 @@ class LsmStore final : public Store {
 
   /// tiers_[i] = tables of tier i, oldest first. Tier number grows with
   /// table size (size-tiered compaction).
-  std::vector<std::vector<std::unique_ptr<lsm::SSTable>>> tiers_
+  std::vector<std::vector<std::shared_ptr<const lsm::SSTable>>> tiers_
       K2_GUARDED_BY(mu_);
   /// All tables, newest first; rebuilt when the tier structure changes.
-  std::vector<lsm::SSTable*> flat_newest_first_ K2_GUARDED_BY(mu_);
+  std::vector<std::shared_ptr<const lsm::SSTable>> flat_newest_first_
+      K2_GUARDED_BY(mu_);
   uint64_t next_seq_ K2_GUARDED_BY(mu_) = 1;
   /// Written only by the external writer thread (under mu_); see
   /// num_points() for the unlocked const-read invariant.

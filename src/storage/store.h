@@ -20,17 +20,27 @@
 namespace k2 {
 
 /// Counters accumulated by a store across queries; reset with Clear().
+///
+/// The first four fields are the paper's Table-5 accounting and mean the
+/// same on every engine. The rest model the access path per engine. The
+/// LSM engine reads its tables in place from an mmap, so for it:
+/// `bytes_read` is 24 B per row handed out (the MemoryStore convention),
+/// `pages_read` counts the distinct blocks each table read touches,
+/// `pages_cached` is always 0 (there is no block cache), `seeks` counts
+/// runs of adjacent blocks, `sstables_touched` counts one per table a read
+/// walks, not one per key, and `bloom_negative` stays 0 unless
+/// `LsmStoreOptions::use_bloom` is set.
 struct IoStats {
   uint64_t snapshot_scans = 0;   ///< ScanTimestamp calls.
   uint64_t scanned_points = 0;   ///< Rows returned by snapshot scans.
   uint64_t point_queries = 0;    ///< (t, oid) lookups issued.
   uint64_t point_hits = 0;       ///< Rows found by point lookups.
-  uint64_t bytes_read = 0;       ///< Bytes fetched from the medium.
+  uint64_t bytes_read = 0;       ///< Bytes fetched (LSM: 24 B per row out).
   uint64_t seeks = 0;            ///< Random repositionings of the medium.
-  uint64_t pages_read = 0;       ///< Buffer-pool misses (page stores).
-  uint64_t pages_cached = 0;     ///< Buffer-pool hits (page stores).
-  uint64_t bloom_negative = 0;   ///< LSM lookups short-circuited by bloom.
-  uint64_t sstables_touched = 0; ///< LSM tables consulted.
+  uint64_t pages_read = 0;       ///< Buffer-pool misses; LSM: blocks read.
+  uint64_t pages_cached = 0;     ///< Buffer-pool hits (page stores only).
+  uint64_t bloom_negative = 0;   ///< LSM keys ruled out by a bloom probe.
+  uint64_t sstables_touched = 0; ///< LSM table walks (one per table read).
 
   /// Per-tier LSM read fan-out: entry [t] counts events against tier-t
   /// SSTables (tier 0 = fresh flushes; higher tiers = older, compacted

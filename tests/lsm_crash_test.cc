@@ -7,7 +7,6 @@
 // lsm_crash_differential_test.cc (slow tier).
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -31,22 +30,12 @@ namespace {
 using ::k2::testing::CountCleanOps;
 using ::k2::testing::CrashFixture;
 using ::k2::testing::CrashScratchDir;
+using ::k2::testing::ReadFile;
 using ::k2::testing::RunCrashIteration;
 using ::k2::testing::StreamTicks;
 using ::k2::testing::SweepStoreOptions;
+using ::k2::testing::WriteFile;
 using FaultMode = FaultInjectionEnv::FaultMode;
-
-std::string ReadAll(const std::string& path) {
-  auto r = Env::Default()->ReadFileToString(path);
-  K2_CHECK(r.ok());
-  return r.MoveValue();
-}
-
-void WriteAll(const std::string& path, const std::string& bytes) {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  K2_CHECK(out.good());
-}
 
 // ---------------------------------------------------------------------------
 // CRC32C
@@ -90,12 +79,12 @@ TEST(FaultInjectionEnvTest, CrashDropsUnsyncedBytes) {
   ASSERT_TRUE(file->Append("AAAA", 4).ok());
   ASSERT_TRUE(file->Sync().ok());
   ASSERT_TRUE(file->Append("BBBB", 4).ok());
-  EXPECT_EQ(ReadAll(path), "AAAABBBB");  // in the "page cache"
+  EXPECT_EQ(ReadFile(path), "AAAABBBB");  // in the "page cache"
 
   env.CrashNow();
   EXPECT_TRUE(env.crashed());
   // Power cut: the unsynced suffix is gone, the env is dead.
-  EXPECT_EQ(ReadAll(path), "AAAA");
+  EXPECT_EQ(ReadFile(path), "AAAA");
   EXPECT_FALSE(file->Append("C", 1).ok());
   EXPECT_FALSE(file->Sync().ok());
   EXPECT_FALSE(env.NewWritableFile(dir + "/g").ok());
@@ -120,7 +109,7 @@ TEST(FaultInjectionEnvTest, FailOpFiresExactlyOnce) {
   ASSERT_TRUE(file->Append("BBBB", 4).ok());
   ASSERT_TRUE(file->Sync().ok());
   ASSERT_TRUE(file->Close().ok());
-  EXPECT_EQ(ReadAll(dir + "/f"), "BBBB");
+  EXPECT_EQ(ReadFile(dir + "/f"), "BBBB");
   EXPECT_EQ(env.op_count(), 5u);  // create, append, append, sync, close
 }
 
@@ -135,7 +124,7 @@ TEST(FaultInjectionEnvTest, TornWriteKeepsPrefixOfUnsyncedTail) {
   EXPECT_FALSE(file->Append("BBBBBBBB", 8).ok());
   EXPECT_TRUE(env.crashed());
   // synced(4) + half of the torn 8-byte append.
-  EXPECT_EQ(ReadAll(path), "AAAABBBB");
+  EXPECT_EQ(ReadFile(path), "AAAABBBB");
 }
 
 TEST(FaultInjectionEnvTest, RenameTracksSyncedState) {
@@ -148,7 +137,7 @@ TEST(FaultInjectionEnvTest, RenameTracksSyncedState) {
   ASSERT_TRUE(env.RenameFile(dir + "/f.tmp", dir + "/f").ok());
   env.CrashNow();
   // The synced bytes follow the file across the rename.
-  EXPECT_EQ(ReadAll(dir + "/f"), "DATA");
+  EXPECT_EQ(ReadFile(dir + "/f"), "DATA");
 }
 
 // ---------------------------------------------------------------------------
@@ -172,7 +161,7 @@ std::string WriteWal(const std::string& path,
   }
   K2_CHECK_OK(wal->Sync());
   K2_CHECK_OK(wal->Close());
-  return ReadAll(path);
+  return ReadFile(path);
 }
 
 std::vector<std::string> Replayed(const std::string& path) {
@@ -235,7 +224,7 @@ TEST(WalTest, TruncationRecoversLongestValidPrefix) {
     SCOPED_TRACE("seed=" + std::to_string(kSeed) +
                  " cut=" + std::to_string(cut) + "/" +
                  std::to_string(bytes.size()));
-    WriteAll(dir + "/cut", bytes.substr(0, cut));
+    WriteFile(dir + "/cut", bytes.substr(0, cut));
     const std::vector<std::string> got = Replayed(dir + "/cut");
     ASSERT_EQ(got.size(), expected_count(cut));
     for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], records[i]);
@@ -271,7 +260,7 @@ TEST(WalTest, BitFlipRecoversPrecedingRecords) {
                  " bit=" + std::to_string(bit));
     std::string corrupt = bytes;
     corrupt[byte] = static_cast<char>(corrupt[byte] ^ (1 << bit));
-    WriteAll(dir + "/flip", corrupt);
+    WriteFile(dir + "/flip", corrupt);
     const std::vector<std::string> got = Replayed(dir + "/flip");
     ASSERT_EQ(got.size(), frame);
     for (size_t i = 0; i < got.size(); ++i) ASSERT_EQ(got[i], records[i]);
@@ -296,20 +285,20 @@ std::string BuildTable(Env* env, const std::string& path, int keys,
 }
 
 void ExpectTableComplete(const std::string& path, int keys) {
-  IoStats stats;
-  auto table_r = lsm::SSTable::Open(path, 1, &stats);
+  auto table_r = lsm::SSTable::Open(path, 1);
   ASSERT_TRUE(table_r.ok()) << table_r.status().ToString();
   auto table = table_r.MoveValue();
   ASSERT_EQ(table->num_entries(), static_cast<uint64_t>(keys));
   int seen = 0;
-  ASSERT_TRUE(table
-                  ->Scan(0, ~0ULL,
-                         [&](uint64_t key, const lsm::LsmValue& v) {
-                           EXPECT_EQ(v.x, static_cast<double>(seen));
-                           EXPECT_EQ(key, MakeKey(seen / 10, seen % 10));
-                           ++seen;
-                         })
-                  .ok());
+  IoStats stats;
+  table->Scan(
+      0, ~0ULL,
+      [&](uint64_t key, const lsm::LsmValue& v) {
+        EXPECT_EQ(v.x, static_cast<double>(seen));
+        EXPECT_EQ(key, MakeKey(seen / 10, seen % 10));
+        ++seen;
+      },
+      &stats);
   EXPECT_EQ(seen, keys);
 }
 
@@ -356,8 +345,7 @@ TEST(SSTableCrashTest, AbandonedBuildRemovesTempFile) {
 }
 
 void ExpectOpenFails(const std::string& path, const std::string& needle) {
-  IoStats stats;
-  auto r = lsm::SSTable::Open(path, 1, &stats);
+  auto r = lsm::SSTable::Open(path, 1);
   ASSERT_FALSE(r.ok()) << "expected rejection: " << needle;
   EXPECT_EQ(r.status().code(), StatusCode::kInvalid);
   EXPECT_NE(r.status().message().find(needle), std::string::npos)
@@ -367,34 +355,57 @@ void ExpectOpenFails(const std::string& path, const std::string& needle) {
 TEST(SSTableCrashTest, OpenRejectsCorruptFilesWithNamedErrors) {
   const std::string dir = CrashScratchDir("sst_corrupt");
   const std::string good = BuildTable(Env::Default(), dir + "/t.sst", 400);
-  const std::string bytes = ReadAll(good);
+  const std::string bytes = ReadFile(good);
   ASSERT_GT(bytes.size(), 100u);
 
-  WriteAll(dir + "/empty.sst", "");
+  WriteFile(dir + "/empty.sst", "");
   ExpectOpenFails(dir + "/empty.sst", "truncated SSTable");
 
-  WriteAll(dir + "/short.sst", bytes.substr(0, 10));
+  WriteFile(dir + "/short.sst", bytes.substr(0, 10));
   ExpectOpenFails(dir + "/short.sst", "truncated SSTable");
 
   std::string bad_magic = bytes;
   bad_magic.back() = static_cast<char>(bad_magic.back() ^ 0xFF);
-  WriteAll(dir + "/magic.sst", bad_magic);
+  WriteFile(dir + "/magic.sst", bad_magic);
   ExpectOpenFails(dir + "/magic.sst", "bad SSTable magic");
 
   // Flip a byte in the index/bloom region: footer still parses, meta CRC
   // catches the damage.
   uint64_t index_offset;
-  std::memcpy(&index_offset, bytes.data() + bytes.size() - 40, 8);
-  ASSERT_LT(index_offset + 3, bytes.size() - 40);
+  std::memcpy(&index_offset, bytes.data() + bytes.size() - lsm::kFooterSize,
+              8);
+  ASSERT_LT(index_offset + 3, bytes.size() - lsm::kFooterSize);
   std::string bad_meta = bytes;
   bad_meta[index_offset + 3] = static_cast<char>(bad_meta[index_offset + 3] ^ 1);
-  WriteAll(dir + "/meta.sst", bad_meta);
+  WriteFile(dir + "/meta.sst", bad_meta);
   ExpectOpenFails(dir + "/meta.sst", "SSTable meta checksum mismatch");
 
   // Chop one byte: the 40 bytes now read as a footer are misaligned garbage.
-  WriteAll(dir + "/chop.sst", bytes.substr(0, bytes.size() - 1));
-  IoStats stats;
-  EXPECT_FALSE(lsm::SSTable::Open(dir + "/chop.sst", 1, &stats).ok());
+  WriteFile(dir + "/chop.sst", bytes.substr(0, bytes.size() - 1));
+  EXPECT_FALSE(lsm::SSTable::Open(dir + "/chop.sst", 1).ok());
+
+  // Reads walk the index forward and binary-search inside blocks, so an
+  // index that is not first_key <= last_key < next.first_key is refused
+  // even under a valid checksum. Overwrites field `field` (0 = first_key)
+  // of index entry `block` and re-seals the metadata checksum.
+  const size_t meta_end = bytes.size() - lsm::kFooterSize;
+  auto reindexed = [&](size_t block, size_t field, uint64_t value) {
+    std::string forged = bytes;
+    std::memcpy(&forged[index_offset + block * lsm::kIndexEntrySize + field],
+                &value, 8);
+    const uint32_t crc =
+        Crc32c(forged.data() + index_offset, meta_end - index_offset);
+    std::memcpy(&forged[meta_end + 24], &crc, 4);
+    return forged;
+  };
+  uint64_t block0_last;
+  std::memcpy(&block0_last, bytes.data() + index_offset + 8, 8);
+  WriteFile(dir + "/inverted.sst", reindexed(0, 0, block0_last + 1));
+  ExpectOpenFails(dir + "/inverted.sst", "SSTable block index out of order");
+  WriteFile(dir + "/touching.sst", reindexed(1, 0, block0_last));
+  ExpectOpenFails(dir + "/touching.sst", "SSTable block index out of order");
+  WriteFile(dir + "/overlap.sst", reindexed(1, 0, block0_last - 1));
+  ExpectOpenFails(dir + "/overlap.sst", "SSTable block index out of order");
 }
 
 // ---------------------------------------------------------------------------
@@ -435,12 +446,12 @@ TEST(ManifestTest, CorruptionIsDetected) {
   state.next_seq = 9;
   state.tables = {{0, 2, "sstable_2.sst", 10}};
   ASSERT_TRUE(lsm::WriteManifest(Env::Default(), dir, state).ok());
-  std::string bytes = ReadAll(dir + "/MANIFEST");
+  std::string bytes = ReadFile(dir + "/MANIFEST");
 
   // Flip a content byte: checksum mismatch.
   std::string flipped = bytes;
   flipped[bytes.find("sstable")] ^= 0x20;
-  WriteAll(dir + "/MANIFEST", flipped);
+  WriteFile(dir + "/MANIFEST", flipped);
   auto read = lsm::ReadManifest(Env::Default(), dir);
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("manifest checksum mismatch"),
@@ -448,7 +459,7 @@ TEST(ManifestTest, CorruptionIsDetected) {
       << read.status().ToString();
 
   // Drop the trailer: parse error.
-  WriteAll(dir + "/MANIFEST", bytes.substr(0, bytes.rfind("crc32c")));
+  WriteFile(dir + "/MANIFEST", bytes.substr(0, bytes.rfind("crc32c")));
   read = lsm::ReadManifest(Env::Default(), dir);
   ASSERT_FALSE(read.ok());
   EXPECT_NE(read.status().message().find("manifest parse error"),
@@ -522,9 +533,9 @@ TEST(LsmStoreCrashTest, ReopenAfterCleanRunRecoversEverything) {
     // Destructor closes the WAL without flushing the memtable.
   }
   // Plant orphans that recovery must sweep (not in the MANIFEST).
-  WriteAll(dir + "/sstable_999.sst", "garbage");
-  WriteAll(dir + "/sstable_998.sst.tmp", "garbage");
-  WriteAll(dir + "/wal_997.log", "garbage");
+  WriteFile(dir + "/sstable_999.sst", "garbage");
+  WriteFile(dir + "/sstable_998.sst.tmp", "garbage");
+  WriteFile(dir + "/wal_997.log", "garbage");
 
   LsmStore recovered(dir, SweepStoreOptions(nullptr));
   ASSERT_TRUE(recovered.init_status().ok())

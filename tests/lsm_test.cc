@@ -2,7 +2,12 @@
 // format, flush/compaction lifecycle, newest-wins versioning.
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
+
 #include <atomic>
+#include <cstring>
+#include <map>
+#include <random>
 #include <thread>
 
 #include "gen/synthetic.h"
@@ -17,6 +22,7 @@ namespace k2 {
 namespace {
 
 using ::k2::testing::ScratchDir;
+using ::k2::testing::WriteFile;
 using lsm::BloomFilter;
 using lsm::LsmValue;
 using lsm::SkipList;
@@ -135,30 +141,29 @@ TEST(SSTableTest, BuildOpenGetScan) {
   }
   ASSERT_TRUE(builder.Finish().ok());
 
-  IoStats stats;
-  auto open = SSTable::Open(path, 1, &stats);
+  auto open = SSTable::Open(path, 1);
   ASSERT_TRUE(open.ok()) << open.status().ToString();
-  std::unique_ptr<SSTable> table = open.MoveValue();
+  std::shared_ptr<const SSTable> table = open.MoveValue();
   EXPECT_EQ(table->num_entries(), 1000u);
   EXPECT_EQ(table->min_key(), 0u);
   EXPECT_EQ(table->max_key(), 2997u);
 
-  LsmValue v;
-  auto hit = table->Get(300, &v);
-  ASSERT_TRUE(hit.ok());
-  EXPECT_TRUE(hit.value());
-  EXPECT_DOUBLE_EQ(v.x, 100.0);
-  auto miss = table->Get(301, &v);
-  ASSERT_TRUE(miss.ok());
-  EXPECT_FALSE(miss.value());
+  IoStats stats;
+  const std::vector<uint64_t> keys{300, 301};
+  LsmValue values[2];
+  uint8_t found[2] = {0, 0};
+  EXPECT_EQ(table->MultiGet(keys, values, found, true, &stats), 1u);
+  EXPECT_EQ(found[0], 1);
+  EXPECT_DOUBLE_EQ(values[0].x, 100.0);
+  EXPECT_EQ(found[1], 0);
 
-  std::vector<uint64_t> keys;
-  ASSERT_TRUE(
-      table->Scan(100, 200, [&](uint64_t k, const LsmValue&) { keys.push_back(k); })
-          .ok());
-  ASSERT_FALSE(keys.empty());
-  EXPECT_EQ(keys.front(), 102u);
-  EXPECT_EQ(keys.back(), 198u);
+  std::vector<uint64_t> scanned;
+  table->Scan(
+      100, 200, [&](uint64_t k, const LsmValue&) { scanned.push_back(k); },
+      &stats);
+  ASSERT_FALSE(scanned.empty());
+  EXPECT_EQ(scanned.front(), 102u);
+  EXPECT_EQ(scanned.back(), 198u);
 }
 
 TEST(SSTableTest, RejectsOutOfOrderKeys) {
@@ -174,15 +179,176 @@ TEST(SSTableTest, BloomShortCircuitsMisses) {
   SSTableBuilder builder(path);
   for (uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(builder.Add(k * 2, {0, 0}).ok());
   ASSERT_TRUE(builder.Finish().ok());
+  auto table = SSTable::Open(path, 1).MoveValue();
+  std::vector<uint64_t> absent;  // all absent, inside the key range
+  for (uint64_t k = 1; k < 999; k += 2) absent.push_back(k);
+  std::vector<LsmValue> values(absent.size());
+  std::vector<uint8_t> found(absent.size(), 0);
   IoStats stats;
-  auto table = SSTable::Open(path, 1, &stats).MoveValue();
-  LsmValue v;
-  int bloom_skips = 0;
-  for (uint64_t k = 1; k < 999; k += 2) {  // all absent, inside key range
-    ASSERT_TRUE(table->Get(k, &v).ok());
-    bloom_skips = static_cast<int>(stats.bloom_negative);
+  EXPECT_EQ(table->MultiGet(absent, values.data(), found.data(), true, &stats),
+            0u);
+  EXPECT_GT(stats.bloom_negative, 400u);  // most misses read no data block
+  // Without the bloom, the same walk reads every block once.
+  IoStats no_bloom;
+  table->MultiGet(absent, values.data(), found.data(), false, &no_bloom);
+  EXPECT_EQ(no_bloom.bloom_negative, 0u);
+  EXPECT_EQ(no_bloom.pages_read, 3u);  // 500 entries = 3 blocks
+}
+
+/// Builds a table holding `rows` at `path` and opens it.
+std::shared_ptr<const SSTable> BuildTable(
+    const std::string& path, const std::map<uint64_t, LsmValue>& rows,
+    uint64_t seq = 1, uint32_t tier = 0) {
+  SSTableBuilder builder(path);
+  builder.Reserve(rows.size());
+  for (const auto& [key, value] : rows) K2_CHECK(builder.Add(key, value).ok());
+  K2_CHECK(builder.Finish().ok());
+  auto table = SSTable::Open(path, seq, tier);
+  K2_CHECK(table.ok());
+  return table.MoveValue();
+}
+
+// Reads are served only from the mapping, so a file that opens but cannot
+// be mapped (a directory here) is a named IOError, not a silent fallback.
+TEST(SSTableTest, OpenReportsMmapFailureAsIOError) {
+  const std::string dir = ScratchDir("sstable_mmap") + "/table.sst";
+  ASSERT_EQ(mkdir(dir.c_str(), 0755), 0);
+  // Give the directory a size past the footer on every file system.
+  for (int i = 0; i < 8; ++i) {
+    WriteFile(dir + "/entry_with_a_deliberately_long_name_" +
+                  std::to_string(i),
+              "x");
   }
-  EXPECT_GT(bloom_skips, 400);  // most misses never touch a data block
+  struct stat st;
+  ASSERT_EQ(stat(dir.c_str(), &st), 0);
+  ASSERT_GE(st.st_size, 40);
+  auto r = SSTable::Open(dir, 1);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIOError);
+  EXPECT_NE(r.status().message().find("cannot mmap"), std::string::npos)
+      << r.status().ToString();
+}
+
+// The documented IoStats model of one table walk and one scan, exactly.
+TEST(SSTableTest, IoStatsModelIsExact) {
+  std::map<uint64_t, LsmValue> rows;
+  // Even keys 0..1998; block b (170 entries) holds keys [340b, 340b + 338].
+  for (uint64_t k = 0; k < 1000; ++k) rows[k * 2] = {double(k), -double(k)};
+  auto table = BuildTable(ScratchDir("sstable_io_model") + "/t.sst", rows,
+                          1, /*tier=*/2);
+
+  // Blocks 0 (2, 3, 4), 1 (341, absent) and 4 (1500; 1501 absent); 5000
+  // lies past the table.
+  const std::vector<uint64_t> keys{2, 3, 4, 341, 1500, 1501, 5000};
+  std::vector<LsmValue> values(keys.size());
+  std::vector<uint8_t> found(keys.size(), 0);
+  IoStats io;
+  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), false, &io),
+            3u);
+  EXPECT_EQ(found, (std::vector<uint8_t>{1, 0, 1, 0, 1, 0, 0}));
+  EXPECT_DOUBLE_EQ(values[4].x, 750.0);
+  EXPECT_EQ(io.sstables_touched, 1u);
+  EXPECT_EQ(io.tier_sstables_touched, (std::vector<uint64_t>{0, 0, 1}));
+  EXPECT_EQ(io.pages_read, 3u);  // distinct blocks 0, 1, 4
+  EXPECT_EQ(io.seeks, 2u);       // runs {0, 1} and {4}
+  EXPECT_EQ(io.pages_cached, 0u);
+  EXPECT_EQ(io.bytes_read, 3u * 24);
+  EXPECT_EQ(io.bloom_negative, 0u);
+
+  // Keys a newer source already found are skipped: only block 4 is read.
+  found = {1, 1, 1, 1, 0, 1, 1};
+  IoStats skip;
+  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), false, &skip),
+            1u);
+  EXPECT_EQ(skip.pages_read, 1u);
+  EXPECT_EQ(skip.seeks, 1u);
+  EXPECT_EQ(skip.bytes_read, 24u);
+
+  // A scan reads blocks 1..3 in one run and hands out 341 rows.
+  IoStats scan;
+  size_t n = 0;
+  table->Scan(340, 1020, [&](uint64_t, const LsmValue&) { ++n; }, &scan);
+  EXPECT_EQ(n, 341u);
+  EXPECT_EQ(scan.sstables_touched, 1u);
+  EXPECT_EQ(scan.pages_read, 3u);
+  EXPECT_EQ(scan.seeks, 1u);
+  EXPECT_EQ(scan.pages_cached, 0u);
+  EXPECT_EQ(scan.bytes_read, 341u * 24);
+}
+
+// Seeded property test: a newest-first MultiGet walk over overlapping
+// tables equals a std::map oracle where the newest table wins — for absent
+// keys, keys on both sides of block boundaries, ticks at the ends of int32,
+// empty key sets, whole-table and cross-tick key sets, bloom on and off.
+TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
+  const std::string dir = ScratchDir("sstable_multiget_oracle");
+  const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -1, 0, 7,
+                             std::numeric_limits<Timestamp>::max()};
+  std::mt19937_64 rng(20260417);
+  for (int round = 0; round < 12; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    // Three tables, newest first; each holds a random subset of (tick, oid)
+    // with oids < 600, so every tick spans several blocks of every table.
+    std::vector<std::shared_ptr<const SSTable>> tables;
+    std::map<uint64_t, LsmValue> oracle;
+    for (int j = 0; j < 3; ++j) {
+      std::map<uint64_t, LsmValue> rows;
+      const uint64_t density = 2 + rng() % 4;
+      for (Timestamp t : ticks) {
+        for (ObjectId oid = 0; oid < 600; ++oid) {
+          if (rng() % density == 0) {
+            rows[MakeKey(t, oid)] = {double(j), double(oid) + round};
+          }
+        }
+      }
+      // Tables are built newest first, so the oracle keeps first writes.
+      for (const auto& [key, value] : rows) oracle.emplace(key, value);
+      tables.push_back(BuildTable(dir + "/r" + std::to_string(round) + "_" +
+                                      std::to_string(j) + ".sst",
+                                  rows, 3 - j));
+    }
+    std::vector<std::vector<uint64_t>> queries;
+    queries.emplace_back();  // empty key set
+    std::vector<uint64_t> all;
+    for (Timestamp t : ticks) {
+      std::vector<uint64_t> dense, sparse;
+      for (ObjectId oid = 0; oid < 700; ++oid) {  // >= 600 are all absent
+        dense.push_back(MakeKey(t, oid));
+        if (rng() % 7 == 0) sparse.push_back(MakeKey(t, oid));
+      }
+      all.insert(all.end(), sparse.begin(), sparse.end());
+      queries.push_back(std::move(dense));
+      queries.push_back(std::move(sparse));
+    }
+    queries.push_back(std::move(all));  // one walk across every tick
+    for (const std::vector<uint64_t>& keys : queries) {
+      for (bool bloom : {false, true}) {
+        std::vector<LsmValue> values(keys.size());
+        std::vector<uint8_t> found(keys.size(), 0);
+        IoStats io;
+        size_t hits = 0;
+        for (const auto& table : tables) {
+          hits += table->MultiGet(keys, values.data(), found.data(), bloom,
+                                  &io);
+        }
+        size_t want_hits = 0;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          auto it = oracle.find(keys[i]);
+          ASSERT_EQ(found[i] != 0, it != oracle.end()) << "key " << keys[i];
+          if (it == oracle.end()) continue;
+          ++want_hits;
+          EXPECT_EQ(values[i].x, it->second.x) << "key " << keys[i];
+          EXPECT_EQ(values[i].y, it->second.y) << "key " << keys[i];
+        }
+        EXPECT_EQ(hits, want_hits);
+        EXPECT_EQ(io.bytes_read, want_hits * 24);
+        EXPECT_EQ(io.pages_cached, 0u);
+        if (!bloom) {
+          EXPECT_EQ(io.bloom_negative, 0u);
+        }
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -224,16 +390,14 @@ TEST(LsmStoreTest, CompactionMergesTiers) {
 
 // Regression test for a guard-aliasing hazard the thread-safety annotation
 // pass flushed out (runs under the sanitize-tsan CI job): the background
-// worker used to pass &io_stats_ straight into SSTable::Open while mu_ was
-// dropped around flush/compaction IO — a live sink pointer into mu_-guarded
-// state held across the unlocked window, so the moment Open (or anything
-// reached from it) charges the sink, it races every foreground scan
-// charging the same struct under mu_. The fix opens each freshly built
-// table against a job-local IoStats and only accumulates + re-points the
-// sink (SSTable::set_io_sink) after re-taking mu_. This test keeps the
-// interleaving hot — a tiny memtable keeps the worker opening tables while
-// a dedicated reader charges io_stats() nonstop — so TSan fires if the
-// unlocked window ever touches the shared counters again.
+// worker once handed SSTable::Open a live pointer into the mu_-guarded
+// io_stats_ while mu_ was dropped around flush/compaction IO, racing every
+// foreground scan charging the same struct under mu_. Table handles now
+// hold no IoStats at all — every read is charged to the IoStats its caller
+// passes — and the merge charges a job-local IoStats. This test keeps the
+// interleaving hot — a tiny memtable keeps the worker opening and merging
+// tables while a dedicated reader charges io_stats() nonstop — so TSan
+// fires if the unlocked window ever touches the shared counters again.
 TEST(LsmStoreTest, BackgroundOpenDoesNotRaceForegroundIoAccounting) {
   LsmStore::Options options;
   options.memtable_limit = 16;  // rotate constantly: keep the worker opening
@@ -271,8 +435,8 @@ TEST(LsmStoreTest, BackgroundOpenDoesNotRaceForegroundIoAccounting) {
   reader.join();
   EXPECT_FALSE(read_failed.load());
   EXPECT_EQ(store.num_points(), 1600u);
-  // Open-time IO of published tables still lands in the foreground account,
-  // never in background_io_stats() (which only holds merge-input reads).
+  // The reader's table scans land in the foreground account, never in
+  // background_io_stats() (which only holds merge-input reads).
   EXPECT_GT(store.io_stats().bytes_read, 0u);
 }
 
@@ -404,6 +568,104 @@ TEST(LsmStoreTest, BloomAblationStillCorrect) {
   ASSERT_TRUE(store.GetPoints(10, ObjectSet::Of({0, 3, 9}), &out).ok());
   ASSERT_EQ(out.size(), 2u);
   EXPECT_EQ(store.io_stats().bloom_negative, 0u);
+}
+
+// Seeded property test of LsmStore::GetPoints and its read snapshot against
+// a std::map oracle: out-of-order ticks (including both ends of int32) make
+// flushed tables overlap, overwrites make the newest version win across
+// memtable and tables, and both bloom settings must agree.
+TEST(LsmStoreTest, GetPointsMatchesOracle) {
+  const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -3, 0, 1,
+                             std::numeric_limits<Timestamp>::max()};
+  for (bool use_bloom : {true, false}) {
+    SCOPED_TRACE(use_bloom ? "bloom" : "no bloom");
+    LsmStore::Options options;
+    options.memtable_limit = 97;
+    options.tier_fanout = 3;
+    options.use_bloom = use_bloom;
+    options.background_compaction = false;
+    LsmStore store(ScratchDir("lsm_getpoints_oracle"), options);
+    std::map<uint64_t, LsmValue> oracle;
+    std::mt19937_64 rng(777);
+    for (int i = 0; i < 3000; ++i) {
+      const Timestamp t = ticks[rng() % 5];
+      const ObjectId oid = static_cast<ObjectId>(rng() % 400);
+      const LsmValue v{double(i), -double(i)};
+      ASSERT_TRUE(store.Put(t, oid, v.x, v.y).ok());
+      oracle[MakeKey(t, oid)] = v;
+    }
+    ASSERT_GT(store.num_sstables(), 1u);
+    ASSERT_GT(store.memtable_entries(), 0u);
+    auto snapshot_r = store.CreateReadSnapshot();
+    ASSERT_TRUE(snapshot_r.ok());
+    std::unique_ptr<Store> snapshot = snapshot_r.MoveValue();
+    uint64_t bloom_negative = 0;
+    for (int q = 0; q < 200; ++q) {
+      const Timestamp t = ticks[q % 5];
+      std::vector<ObjectId> ids;  // q % 10 == 0: the empty set
+      for (ObjectId oid = 0; oid < 450 && q % 10 != 0; ++oid) {
+        if (rng() % (1 + q % 4) == 0) ids.push_back(oid);
+      }
+      const ObjectSet objects{std::vector<ObjectId>(ids)};
+      std::vector<SnapshotPoint> want;
+      for (ObjectId oid : ids) {
+        auto it = oracle.find(MakeKey(t, oid));
+        if (it != oracle.end()) {
+          want.push_back(SnapshotPoint{oid, it->second.x, it->second.y});
+        }
+      }
+      for (Store* reader : {static_cast<Store*>(&store), snapshot.get()}) {
+        const IoStats before = reader->io_stats();
+        std::vector<SnapshotPoint> got;
+        ASSERT_TRUE(reader->GetPoints(t, objects, &got).ok());
+        ASSERT_EQ(got.size(), want.size()) << "tick " << t;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].oid, want[i].oid);
+          EXPECT_EQ(got[i].x, want[i].x);
+          EXPECT_EQ(got[i].y, want[i].y);
+        }
+        const IoStats d = IoStats::Delta(reader->io_stats(), before);
+        EXPECT_EQ(d.point_queries, ids.size());
+        EXPECT_EQ(d.point_hits, want.size());
+        EXPECT_EQ(d.pages_cached, 0u);
+        bloom_negative += d.bloom_negative;
+      }
+    }
+    // Tables overlap, so many keys a newer table lacks fall inside its
+    // blocks; the bloom rules some of them out.
+    if (use_bloom) {
+      EXPECT_GT(bloom_negative, 0u);
+    } else {
+      EXPECT_EQ(bloom_negative, 0u);
+    }
+  }
+}
+
+// The store-level IoStats model under default options: a tick inside one
+// table costs one walk, one read per distinct block, 24 B per row, and no
+// bloom probe.
+TEST(LsmStoreTest, GetPointsChargesTheDocumentedIoModel) {
+  LsmStore::Options options;
+  options.background_compaction = false;
+  LsmStore store(ScratchDir("lsm_io_model"), options);
+  for (ObjectId oid = 0; oid < 400; ++oid) {
+    ASSERT_TRUE(store.Put(5, oid, oid, 0).ok());  // blocks of 170 oids
+  }
+  ASSERT_TRUE(store.Flush().ok());
+  ASSERT_EQ(store.num_sstables(), 1u);
+  store.io_stats().Clear();
+  std::vector<SnapshotPoint> out;
+  ASSERT_TRUE(store.GetPoints(5, ObjectSet::Of({1, 2, 200, 1000}), &out).ok());
+  ASSERT_EQ(out.size(), 3u);
+  const IoStats& io = store.io_stats();
+  EXPECT_EQ(io.point_queries, 4u);
+  EXPECT_EQ(io.point_hits, 3u);
+  EXPECT_EQ(io.sstables_touched, 1u);
+  EXPECT_EQ(io.pages_read, 2u);  // blocks 0 and 1
+  EXPECT_EQ(io.seeks, 1u);       // adjacent: one run
+  EXPECT_EQ(io.pages_cached, 0u);
+  EXPECT_EQ(io.bytes_read, 3u * 24);
+  EXPECT_EQ(io.bloom_negative, 0u);
 }
 
 }  // namespace

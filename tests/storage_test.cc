@@ -1,5 +1,7 @@
 // Parameterized conformance tests: every storage engine must behave exactly
 // like the in-memory oracle for scans and point reads, and must account IO.
+#include <atomic>
+#include <filesystem>
 #include <memory>
 #include <numeric>
 #include <thread>
@@ -158,6 +160,7 @@ TEST(IoStatsTierTest, LsmReadFanOutSplitsByTier) {
   LsmStore::Options options;
   options.memtable_limit = 64;
   options.tier_fanout = 2;
+  options.use_bloom = true;
   LsmStore store(ScratchDir("lsm_tier_stats"), options);
   for (Timestamp t = 0; t < 100; ++t) {
     for (ObjectId o = 0; o < 8; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
@@ -179,6 +182,7 @@ TEST(IoStatsTierTest, LsmReadFanOutSplitsByTier) {
   EXPECT_EQ(std::accumulate(stats.tier_sstables_touched.begin(),
                             stats.tier_sstables_touched.end(), uint64_t{0}),
             stats.sstables_touched);
+  EXPECT_GT(stats.bloom_negative, 0u);
   EXPECT_EQ(std::accumulate(stats.tier_bloom_skipped.begin(),
                             stats.tier_bloom_skipped.end(), uint64_t{0}),
             stats.bloom_negative);
@@ -449,6 +453,79 @@ TEST_P(StoreConformanceTest, ConcurrentSnapshotsReadConsistently) {
   for (int i = 0; i < kReaders; ++i) {
     EXPECT_EQ(rows_seen[i], 3 * ds.num_points()) << "reader " << i;
   }
+}
+
+// An LSM read snapshot shares the parent's immutable table handles instead
+// of reopening the files. It must keep answering from those tables while
+// the parent keeps writing and its background worker compacts them away —
+// files unlinked, handles dropped from the parent. Run under TSan in CI:
+// the snapshot reads race the worker's merge reads of the same handles.
+TEST(LsmSnapshotTest, SnapshotKeepsReadingTablesTheParentCompactsAway) {
+  LsmStore::Options options;
+  options.memtable_limit = 64;
+  options.tier_fanout = 2;
+  ASSERT_TRUE(options.background_compaction);
+  const std::string dir = ScratchDir("lsm_snapshot_shared");
+  LsmStore store(dir, options);
+  constexpr Timestamp kTicks = 64;
+  for (Timestamp t = 0; t < kTicks; ++t) {
+    for (ObjectId o = 0; o < 4; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+  }
+  auto snapshot_r = store.CreateReadSnapshot();
+  ASSERT_TRUE(snapshot_r.ok()) << snapshot_r.status().ToString();
+  std::unique_ptr<Store> snapshot = snapshot_r.MoveValue();
+  std::vector<std::string> shared_files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().extension() == ".sst") {
+      shared_files.push_back(entry.path().string());
+    }
+  }
+  ASSERT_FALSE(shared_files.empty());
+
+  // Every row of the snapshot's ticks, read back exactly.
+  auto snapshot_reads_all = [&] {
+    std::vector<SnapshotPoint> out;
+    for (Timestamp t = 0; t < kTicks; ++t) {
+      if (!snapshot->ScanTimestamp(t, &out).ok() || out.size() != 4) {
+        return false;
+      }
+      if (!snapshot->GetPoints(t, ObjectSet::Of({1, 3, 9}), &out).ok() ||
+          out.size() != 2 || out[0].x != t || out[1].y != 3) {
+        return false;
+      }
+    }
+    return true;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<bool> reads_ok{true};
+  std::thread reader([&] {
+    while (!done.load(std::memory_order_acquire)) {
+      if (!snapshot_reads_all()) reads_ok.store(false);
+    }
+  });
+  // Overwrite the snapshot's rows and add more: every flush cascades
+  // compactions through the tables the snapshot holds.
+  for (Timestamp t = 0; t < 4 * kTicks; ++t) {
+    for (ObjectId o = 0; o < 4; ++o) {
+      ASSERT_TRUE(store.Put(t, o, -1.0, -1.0).ok());
+    }
+  }
+  ASSERT_TRUE(store.Flush().ok());
+  done.store(true, std::memory_order_release);
+  reader.join();
+  EXPECT_TRUE(reads_ok.load());
+
+  size_t removed = 0;
+  for (const std::string& path : shared_files) {
+    removed += std::filesystem::exists(path) ? 0 : 1;
+  }
+  EXPECT_GT(removed, 0u) << "compaction never dropped a shared table";
+  EXPECT_TRUE(snapshot_reads_all());
+  // The parent sees the new versions.
+  std::vector<SnapshotPoint> out;
+  ASSERT_TRUE(store.GetPoints(5, ObjectSet::Of({1}), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].x, -1.0);
 }
 
 TEST(FileStoreTest, FirstAppendTruncatesAStaleFile) {

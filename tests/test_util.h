@@ -4,6 +4,8 @@
 #define K2_TESTS_TEST_UTIL_H_
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -95,6 +97,20 @@ inline std::string ScratchDir(const std::string& tag) {
       std::filesystem::temp_directory_path(), "k2hop_test_", tag);
   K2_CHECK(!dir.empty());
   return dir;
+}
+
+/// Whole contents of the file at `path`; CHECK-fails when it cannot be read.
+inline std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  K2_CHECK(in.good());
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+/// Replaces the file at `path` with `bytes`; CHECK-fails on error.
+inline void WriteFile(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  K2_CHECK(out.good());
 }
 
 /// Loads `dataset` into a MemoryStore.
