@@ -167,8 +167,7 @@ void RecordBenchRow(const std::string& miner, const std::string& store_name,
      << ",\"scanned_points\":" << io.scanned_points
      << ",\"bytes_read\":" << io.bytes_read << ",\"seeks\":" << io.seeks
      << ",\"pages_read\":" << io.pages_read
-     << ",\"pages_cached\":" << io.pages_cached
-     << ",\"bloom_negative\":" << io.bloom_negative << "}" << extra.json()
+     << ",\"pages_cached\":" << io.pages_cached << "}" << extra.json()
      << "}";
   sink.records.push_back(os.str());
 }

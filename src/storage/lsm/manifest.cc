@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <set>
 #include <sstream>
 
 #include "common/crc32c.h"
@@ -10,6 +11,11 @@ namespace k2::lsm {
 
 namespace {
 constexpr char kMagicLine[] = "k2lsm-manifest v1";
+
+bool IsPlainFileName(const std::string& name) {
+  return !name.empty() && name != "." && name != ".." &&
+         name.find('/') == std::string::npos;
+}
 }  // namespace
 
 Status WriteManifest(Env* env, const std::string& dir,
@@ -86,7 +92,7 @@ Result<ManifestState> ReadManifest(Env* env, const std::string& dir) {
     } else if (tag == "table") {
       ManifestTable t;
       fields >> t.tier >> t.seq >> t.file >> t.num_entries;
-      if (fields.fail()) {
+      if (fields.fail() || t.tier >= kMaxTiers || !IsPlainFileName(t.file)) {
         return Status::Invalid("manifest parse error: bad table line in " +
                                path);
       }
@@ -98,6 +104,22 @@ Result<ManifestState> ReadManifest(Env* env, const std::string& dir) {
   }
   if (!have_next_seq) {
     return Status::Invalid("manifest parse error: missing next_seq in " + path);
+  }
+  // Each seq names one file and was allocated before next_seq was written.
+  std::set<uint64_t> seqs;
+  std::set<std::string> files;
+  bool unique = true;
+  for (uint64_t seq : state.live_wals) {
+    unique &= seq < state.next_seq && seqs.insert(seq).second;
+  }
+  for (const ManifestTable& t : state.tables) {
+    unique &= t.seq < state.next_seq && seqs.insert(t.seq).second &&
+              files.insert(t.file).second;
+  }
+  if (!unique) {
+    return Status::Invalid(
+        "manifest parse error: seq or file reused or past next_seq in " +
+        path);
   }
   return state;
 }

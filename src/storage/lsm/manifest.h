@@ -28,6 +28,9 @@
 namespace k2::lsm {
 
 inline constexpr char kManifestName[] = "MANIFEST";
+/// Tiers a MANIFEST may name. Size-tiered compaction with a fan-out of at
+/// least 2 needs 2^t flushes to reach tier t, so no store gets near this.
+inline constexpr uint32_t kMaxTiers = 64;
 
 struct ManifestTable {
   uint32_t tier = 0;
@@ -47,7 +50,12 @@ Status WriteManifest(Env* env, const std::string& dir,
                      const ManifestState& state);
 
 /// Reads and validates `dir`/MANIFEST. NotFound when absent (a fresh
-/// directory); Invalid with a named message on checksum or parse failure.
+/// directory); Invalid with a named message on checksum or parse failure,
+/// or when a table's tier is not below kMaxTiers, a table's file is not a
+/// plain name inside `dir`, or a table or WAL seq is reused or not below
+/// next_seq.
+/// Recovery sizes its tier list by the tiers read and deletes table files
+/// by name, so a checksummed but forged MANIFEST must not get past here.
 Result<ManifestState> ReadManifest(Env* env, const std::string& dir);
 
 }  // namespace k2::lsm

@@ -76,11 +76,6 @@ SSTableBuilder::~SSTableBuilder() {
   }
 }
 
-void SSTableBuilder::Reserve(size_t expected_keys) {
-  bloom_reserve_ = expected_keys;
-  all_entries_.reserve(expected_keys);
-}
-
 Status SSTableBuilder::Add(uint64_t key, const LsmValue& value) {
   K2_RETURN_NOT_OK(deferred_error_);
   if (has_last_key_ && key <= last_key_) {
@@ -89,7 +84,6 @@ Status SSTableBuilder::Add(uint64_t key, const LsmValue& value) {
   last_key_ = key;
   has_last_key_ = true;
   block_.emplace_back(key, value);
-  all_entries_.emplace_back(key, value);
   ++num_entries_;
   if (block_.size() >= kBlockEntries) return FlushBlock();
   return Status::OK();
@@ -123,8 +117,8 @@ Status SSTableBuilder::Finish() {
   K2_RETURN_NOT_OK(deferred_error_);
   K2_RETURN_NOT_OK(FlushBlock());
 
-  // Metadata region (index + bloom), checksummed as one unit so a torn
-  // write anywhere in it is detected by Open().
+  // Metadata region (the index), checksummed so a torn write anywhere in it
+  // is detected by Open().
   const uint64_t index_offset = offset_;
   std::string meta;
   for (const IndexEntry& e : index_) {
@@ -133,19 +127,8 @@ Status SSTableBuilder::Finish() {
     AppendRaw(&meta, &e.offset, 8);
     AppendRaw(&meta, &e.count, 4);
   }
-  const uint64_t bloom_offset = index_offset + index_.size() * kIndexEntrySize;
-
-  BloomFilter bloom(std::max<size_t>(bloom_reserve_, all_entries_.size()));
-  for (const auto& [key, value] : all_entries_) bloom.Add(key);
-  const uint32_t num_hashes = bloom.num_hashes_for_disk();
-  const uint32_t num_words = static_cast<uint32_t>(bloom.words().size());
-  AppendRaw(&meta, &num_hashes, 4);
-  AppendRaw(&meta, &num_words, 4);
-  AppendRaw(&meta, bloom.words().data(), num_words * 8);
-
   const uint32_t meta_crc = Crc32c(meta.data(), meta.size());
   AppendRaw(&meta, &index_offset, 8);
-  AppendRaw(&meta, &bloom_offset, 8);
   AppendRaw(&meta, &num_entries_, 8);
   AppendRaw(&meta, &meta_crc, 4);
   AppendRaw(&meta, &kSstFormatVersion, 4);
@@ -177,8 +160,7 @@ SSTable::~SSTable() {
 }
 
 Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
-                                                     uint64_t seq,
-                                                     uint32_t tier) {
+                                                     uint64_t seq) {
   // k2-lint: allow(lsm-io-through-env): read path — Env only shims
   // write-path IO for fault injection; reads go straight to the mmap.
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
@@ -212,17 +194,15 @@ Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
   table->map_size_ = static_cast<size_t>(file_size);
   table->path_ = path;
   table->seq_ = seq;
-  table->tier_ = tier;
 
   const char* footer = table->map_ + file_size - kFooterSize;
-  uint64_t index_offset, bloom_offset, num_entries, magic;
+  uint64_t index_offset, num_entries, magic;
   uint32_t meta_crc, version;
   std::memcpy(&index_offset, footer, 8);
-  std::memcpy(&bloom_offset, footer + 8, 8);
-  std::memcpy(&num_entries, footer + 16, 8);
-  std::memcpy(&meta_crc, footer + 24, 4);
-  std::memcpy(&version, footer + 28, 4);
-  std::memcpy(&magic, footer + 32, 8);
+  std::memcpy(&num_entries, footer + 8, 8);
+  std::memcpy(&meta_crc, footer + 16, 4);
+  std::memcpy(&version, footer + 20, 4);
+  std::memcpy(&magic, footer + 24, 8);
   if (magic != kSstMagic) {
     return Status::Invalid("bad SSTable magic in " + path);
   }
@@ -231,9 +211,8 @@ Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
                            std::to_string(version) + " in " + path);
   }
   const uint64_t meta_end = file_size - kFooterSize;
-  if (index_offset > bloom_offset || bloom_offset > meta_end ||
-      (bloom_offset - index_offset) % kIndexEntrySize != 0 ||
-      meta_end - bloom_offset < 8) {
+  if (index_offset > meta_end ||
+      (meta_end - index_offset) % kIndexEntrySize != 0) {
     return Status::Invalid("SSTable footer offsets out of range in " + path);
   }
 
@@ -247,7 +226,7 @@ Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
   // so the index must describe contiguous, non-empty, strictly ordered
   // blocks that tile the data region exactly.
   table->num_entries_ = num_entries;
-  const size_t num_blocks = (bloom_offset - index_offset) / kIndexEntrySize;
+  const size_t num_blocks = (meta_end - index_offset) / kIndexEntrySize;
   table->index_.resize(num_blocks);
   uint64_t data_end = 0;
   for (size_t b = 0; b < num_blocks; ++b, p += kIndexEntrySize) {
@@ -270,17 +249,6 @@ Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
     return Status::Invalid("SSTable entry count mismatch in " + path);
   }
 
-  uint32_t num_hashes, num_words;
-  std::memcpy(&num_hashes, p, 4);
-  std::memcpy(&num_words, p + 4, 4);
-  p += 8;
-  if (meta_end - bloom_offset != 8 + uint64_t{num_words} * 8) {
-    return Status::Invalid("SSTable bloom size mismatch in " + path);
-  }
-  std::vector<uint64_t> words(num_words);
-  if (num_words > 0) std::memcpy(words.data(), p, size_t{num_words} * 8);
-  table->bloom_ = BloomFilter::FromWords(std::move(words), num_hashes);
-
   if (!table->index_.empty()) {
     table->min_key_ = table->index_.front().first_key;
     table->max_key_ = table->index_.back().last_key;
@@ -298,13 +266,11 @@ size_t SSTable::FirstBlockNotBefore(uint64_t key) const {
 }
 
 size_t SSTable::MultiGet(std::span<const uint64_t> keys, LsmValue* values,
-                         uint8_t* found, bool probe_bloom,
-                         IoStats* stats) const {
+                         uint8_t* found, IoStats* stats) const {
   size_t i = static_cast<size_t>(
       std::lower_bound(keys.begin(), keys.end(), min_key_) - keys.begin());
   if (num_entries_ == 0 || i == keys.size() || keys[i] > max_key_) return 0;
   ++stats->sstables_touched;
-  ChargeTier(&stats->tier_sstables_touched);
   // Every key up to max_key_ has a block with last_key >= key (the last
   // block ends at max_key_), so the walk never runs off the index.
   size_t b = FirstBlockNotBefore(keys[i]);
@@ -317,11 +283,6 @@ size_t SSTable::MultiGet(std::span<const uint64_t> keys, LsmValue* values,
     const uint64_t key = keys[i];
     while (index_[b].last_key < key) ++b;
     if (key < index_[b].first_key) continue;  // between two blocks
-    if (probe_bloom && !bloom_.MayContain(key)) {
-      ++stats->bloom_negative;
-      ChargeTier(&stats->tier_bloom_skipped);
-      continue;
-    }
     if (b != block_read) {
       if (block_read == index_.size() || b != block_read + 1) ++stats->seeks;
       ++stats->pages_read;
@@ -348,7 +309,6 @@ void SSTable::Scan(uint64_t lo, uint64_t hi,
                    IoStats* stats) const {
   if (!Overlaps(lo, hi)) return;
   ++stats->sstables_touched;
-  ChargeTier(&stats->tier_sstables_touched);
   uint64_t rows = 0;
   size_t b = FirstBlockNotBefore(lo);
   // Consecutive blocks: one seek for the whole run.

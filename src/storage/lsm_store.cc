@@ -83,7 +83,7 @@ Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
 // newest first, skipping keys a newer source already found.
 template <typename MemtableT>
 Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
-                    const TableList& tables, bool use_bloom, Timestamp t,
+                    const TableList& tables, Timestamp t,
                     const ObjectSet& objects, std::vector<SnapshotPoint>* out,
                     IoStats* stats) {
   out->clear();
@@ -112,7 +112,7 @@ Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
   }
   for (size_t j = 0; j < tables.size() && remaining > 0; ++j) {
     remaining -= tables[j]->MultiGet(scratch.keys, scratch.values.data(),
-                                     scratch.found.data(), use_bloom, stats);
+                                     scratch.found.data(), stats);
   }
   for (size_t i = 0; i < n; ++i) {
     if (scratch.found[i] == 0) continue;
@@ -158,11 +158,10 @@ class SortedRun {
 /// frozen memtable run, charging the snapshot's own io_stats().
 class LsmReadSnapshot final : public Store {
  public:
-  LsmReadSnapshot(SortedRun memtable, TableList tables, bool use_bloom,
+  LsmReadSnapshot(SortedRun memtable, TableList tables,
                   std::vector<Timestamp> timestamps, uint64_t num_points)
       : memtable_(std::move(memtable)),
         tables_(std::move(tables)),
-        use_bloom_(use_bloom),
         timestamps_(std::move(timestamps)),
         num_points_(num_points) {}
 
@@ -180,8 +179,7 @@ class LsmReadSnapshot final : public Store {
   Status GetPoints(Timestamp t, const ObjectSet& objects,
                    std::vector<SnapshotPoint>* out) override {
     const SortedRun* mem = &memtable_;
-    return LsmGetPoints(&mem, 1, tables_, use_bloom_, t, objects, out,
-                        &io_stats_);
+    return LsmGetPoints(&mem, 1, tables_, t, objects, out, &io_stats_);
   }
   TimeRange time_range() const override {
     if (timestamps_.empty()) return TimeRange{0, -1};
@@ -195,7 +193,6 @@ class LsmReadSnapshot final : public Store {
  private:
   SortedRun memtable_;
   TableList tables_;  // newest first, as in the parent
-  bool use_bloom_;
   std::vector<Timestamp> timestamps_;
   uint64_t num_points_;
 };
@@ -267,6 +264,7 @@ Status LsmStore::Recover() {
   } else if (read.status().code() != StatusCode::kNotFound) {
     return read.status();  // a corrupt MANIFEST is not silently ignorable
   }
+  // ReadManifest guarantees every live table and WAL seq is below next_seq.
   next_seq_ = std::max<uint64_t>(manifest.next_seq, 1);
 
   // 1. Open every table the MANIFEST says is live; they were published
@@ -274,8 +272,7 @@ Status LsmStore::Recover() {
   for (const ManifestTable& t : manifest.tables) {
     if (t.tier >= tiers_.size()) tiers_.resize(t.tier + 1);
     K2_ASSIGN_OR_RETURN(std::shared_ptr<const SSTable> table,
-                        SSTable::Open(dir_ + "/" + t.file, t.seq, t.tier));
-    next_seq_ = std::max(next_seq_, t.seq + 1);
+                        SSTable::Open(dir_ + "/" + t.file, t.seq));
     tiers_[t.tier].push_back(std::move(table));
   }
   RebuildFlatViewLocked();
@@ -285,7 +282,6 @@ Status LsmStore::Recover() {
   //    durable. The segments stay live until this memtable flushes.
   std::set<Timestamp> ticks;
   for (uint64_t wseq : manifest.live_wals) {
-    next_seq_ = std::max(next_seq_, wseq + 1);
     const std::string path = WalFilePath(wseq);
     if (!env_->FileExists(path)) continue;  // flushed + deleted mid-commit
     auto replayed = lsm::ReplayWal(env_, path, [&](const char* payload,
@@ -546,7 +542,6 @@ Status LsmStore::FlushFrontLocked() {
 
   mu_.Unlock();
   SSTableBuilder builder(env_, path);
-  builder.Reserve(job.mem->size());
   Status s;
   job.mem->ForEach([&](uint64_t key, const LsmValue& value) {
     if (s.ok()) s = builder.Add(key, value);
@@ -554,8 +549,7 @@ Status LsmStore::FlushFrontLocked() {
   if (s.ok()) s = builder.Finish();
   std::shared_ptr<const SSTable> table;
   if (s.ok()) {
-    // Fresh flushes always enter the newest tier.
-    auto opened = SSTable::Open(path, table_seq, /*tier=*/0);
+    auto opened = SSTable::Open(path, table_seq);
     if (opened.ok()) {
       table = opened.MoveValue();
     } else {
@@ -588,7 +582,6 @@ Status LsmStore::CompactLocked() {
     const TableList inputs = tiers_[tier];
     const uint64_t out_seq = next_seq_++;
     const std::string out_path = TableFilePath(out_seq);
-    const uint32_t out_tier = static_cast<uint32_t>(tier + 1);
 
     mu_.Unlock();
     // Sort-based merge: materialize (key, seq, value), keep the newest
@@ -618,7 +611,6 @@ Status LsmStore::CompactLocked() {
     Status s;
     {
       SSTableBuilder builder(env_, out_path);
-      builder.Reserve(rows.size());
       for (size_t i = 0; i < rows.size() && s.ok(); ++i) {
         if (i > 0 && rows[i].key == rows[i - 1].key) continue;  // older version
         s = builder.Add(rows[i].key, rows[i].value);
@@ -627,7 +619,7 @@ Status LsmStore::CompactLocked() {
     }
     std::shared_ptr<const SSTable> merged;
     if (s.ok()) {
-      auto opened = SSTable::Open(out_path, out_seq, out_tier);
+      auto opened = SSTable::Open(out_path, out_seq);
       if (opened.ok()) {
         merged = opened.MoveValue();
       } else {
@@ -808,8 +800,8 @@ Status LsmStore::GetPoints(Timestamp t, const ObjectSet& objects,
     mems = heap_mems.data();
   }
   const size_t n = CollectMemsLocked(mems);
-  return LsmGetPoints(mems, n, flat_newest_first_, options_.use_bloom, t,
-                      objects, out, &io_stats_);
+  return LsmGetPoints(mems, n, flat_newest_first_, t, objects, out,
+                      &io_stats_);
 }
 
 Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {
@@ -824,8 +816,7 @@ Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {
   memtable_->ForEach(
       [&](uint64_t key, const LsmValue& value) { run.Add(key, value); });
   auto snapshot = std::make_unique<LsmReadSnapshot>(
-      std::move(run), flat_newest_first_, options_.use_bloom, tick_cache_,
-      num_points_);
+      std::move(run), flat_newest_first_, tick_cache_, num_points_);
   return std::unique_ptr<Store>(std::move(snapshot));
 }
 

@@ -42,12 +42,6 @@ struct LsmStoreOptions {
   size_t memtable_limit = 128 * 1024;
   /// Tables per tier before they are merged into the next tier.
   size_t tier_fanout = 4;
-  /// Probe each table's bloom filter before a point read looks in the
-  /// key's block. Off by default: blocks are read in place from the mmap,
-  /// and the probe costs more than the in-block search it saves — with
-  /// every tick split over two tables it saved 0.1% of block reads at 2-3x
-  /// the walk time. An ablation switch; the filter is always built.
-  bool use_bloom = false;
   /// File-system shim for every write-path IO (WAL, SSTable build,
   /// MANIFEST); nullptr = Env::Default(). The fault-injection tests
   /// substitute a FaultInjectionEnv here.

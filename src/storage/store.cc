@@ -10,29 +10,6 @@
 
 namespace k2 {
 
-namespace {
-
-// out[i] op= in[i] with the shorter vector padded with zeros: per-tier
-// counters from stores of different depths must stay comparable.
-template <typename Op>
-void ZipTiers(std::vector<uint64_t>* out, const std::vector<uint64_t>& in,
-              Op op) {
-  if (out->size() < in.size()) out->resize(in.size(), 0);
-  for (size_t i = 0; i < in.size(); ++i) (*out)[i] = op((*out)[i], in[i]);
-}
-
-void AppendTierVector(std::ostringstream& os, const char* label,
-                      const std::vector<uint64_t>& v) {
-  os << ", " << label << "=[";
-  for (size_t i = 0; i < v.size(); ++i) {
-    if (i > 0) os << ", ";
-    os << v[i];
-  }
-  os << "]";
-}
-
-}  // namespace
-
 std::string IoStats::DebugString() const {
   std::ostringstream os;
   os << "IoStats{scans=" << snapshot_scans
@@ -41,14 +18,7 @@ std::string IoStats::DebugString() const {
      << ", bytes_read=" << bytes_read << ", seeks=" << seeks
      << ", pages_read=" << pages_read << ", pages_cached=" << pages_cached
      << ", bloom_negative=" << bloom_negative
-     << ", sstables_touched=" << sstables_touched;
-  if (!tier_sstables_touched.empty()) {
-    AppendTierVector(os, "tier_touched", tier_sstables_touched);
-  }
-  if (!tier_bloom_skipped.empty()) {
-    AppendTierVector(os, "tier_bloom_skipped", tier_bloom_skipped);
-  }
-  os << "}";
+     << ", sstables_touched=" << sstables_touched << "}";
   return os.str();
 }
 
@@ -64,12 +34,6 @@ IoStats IoStats::Delta(const IoStats& after, const IoStats& before) {
   d.pages_cached = after.pages_cached - before.pages_cached;
   d.bloom_negative = after.bloom_negative - before.bloom_negative;
   d.sstables_touched = after.sstables_touched - before.sstables_touched;
-  d.tier_sstables_touched = after.tier_sstables_touched;
-  ZipTiers(&d.tier_sstables_touched, before.tier_sstables_touched,
-           [](uint64_t a, uint64_t b) { return a - b; });
-  d.tier_bloom_skipped = after.tier_bloom_skipped;
-  ZipTiers(&d.tier_bloom_skipped, before.tier_bloom_skipped,
-           [](uint64_t a, uint64_t b) { return a - b; });
   return d;
 }
 
@@ -84,10 +48,6 @@ void IoStats::Accumulate(const IoStats& other) {
   pages_cached += other.pages_cached;
   bloom_negative += other.bloom_negative;
   sstables_touched += other.sstables_touched;
-  ZipTiers(&tier_sstables_touched, other.tier_sstables_touched,
-           [](uint64_t a, uint64_t b) { return a + b; });
-  ZipTiers(&tier_bloom_skipped, other.tier_bloom_skipped,
-           [](uint64_t a, uint64_t b) { return a + b; });
 }
 
 double PruningRatio(const IoStats& io, uint64_t total_points) {

@@ -27,9 +27,10 @@ namespace k2 {
 /// `bytes_read` is 24 B per row handed out (the MemoryStore convention),
 /// `pages_read` counts the distinct blocks each table read touches,
 /// `pages_cached` is always 0 (there is no block cache), `seeks` counts
-/// runs of adjacent blocks, `sstables_touched` counts one per table a read
-/// walks, not one per key, and `bloom_negative` stays 0 unless
-/// `LsmStoreOptions::use_bloom` is set.
+/// runs of adjacent blocks, and `sstables_touched` counts one per table a
+/// read walks, not one per key. SSTables carry no bloom filter, so
+/// `bloom_negative` is always 0 on every engine; it stays until a change to
+/// the repository benchmark, which still reports it, drops it.
 struct IoStats {
   uint64_t snapshot_scans = 0;   ///< ScanTimestamp calls.
   uint64_t scanned_points = 0;   ///< Rows returned by snapshot scans.
@@ -39,18 +40,8 @@ struct IoStats {
   uint64_t seeks = 0;            ///< Random repositionings of the medium.
   uint64_t pages_read = 0;       ///< Buffer-pool misses; LSM: blocks read.
   uint64_t pages_cached = 0;     ///< Buffer-pool hits (page stores only).
-  uint64_t bloom_negative = 0;   ///< LSM keys ruled out by a bloom probe.
+  uint64_t bloom_negative = 0;   ///< Always 0: no engine has a bloom.
   uint64_t sstables_touched = 0; ///< LSM table walks (one per table read).
-
-  /// Per-tier LSM read fan-out: entry [t] counts events against tier-t
-  /// SSTables (tier 0 = fresh flushes; higher tiers = older, compacted
-  /// data). `tier_sstables_touched` splits `sstables_touched` by tier;
-  /// `tier_bloom_skipped` splits `bloom_negative`. Vectors grow lazily to
-  /// the deepest tier observed, so two IoStats with different lengths just
-  /// mean the shorter one never read past its last tier; Delta/Accumulate
-  /// treat the missing entries as zero.
-  std::vector<uint64_t> tier_sstables_touched;
-  std::vector<uint64_t> tier_bloom_skipped;
 
   /// Total rows materialized for the caller (the paper's "points processed").
   uint64_t points_read() const { return scanned_points + point_hits; }

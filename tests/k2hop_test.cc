@@ -462,8 +462,6 @@ void ExpectSameIo(const IoStats& a, const IoStats& b) {
   EXPECT_EQ(a.pages_cached, b.pages_cached);
   EXPECT_EQ(a.bloom_negative, b.bloom_negative);
   EXPECT_EQ(a.sstables_touched, b.sstables_touched);
-  EXPECT_EQ(a.tier_sstables_touched, b.tier_sstables_touched);
-  EXPECT_EQ(a.tier_bloom_skipped, b.tier_bloom_skipped);
 }
 
 /// Algorithm 1 spelled out through the public phase functions.

@@ -7,6 +7,7 @@
 // lsm_crash_differential_test.cc (slow tier).
 #include <cstring>
 #include <filesystem>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -273,7 +274,6 @@ TEST(WalTest, BitFlipRecoversPrecedingRecords) {
 std::string BuildTable(Env* env, const std::string& path, int keys,
                        Status* out = nullptr) {
   lsm::SSTableBuilder builder(env, path);
-  builder.Reserve(static_cast<size_t>(keys));
   Status st;
   for (int i = 0; i < keys && st.ok(); ++i) {
     st = builder.Add(MakeKey(i / 10, static_cast<ObjectId>(i % 10)),
@@ -369,8 +369,8 @@ TEST(SSTableCrashTest, OpenRejectsCorruptFilesWithNamedErrors) {
   WriteFile(dir + "/magic.sst", bad_magic);
   ExpectOpenFails(dir + "/magic.sst", "bad SSTable magic");
 
-  // Flip a byte in the index/bloom region: footer still parses, meta CRC
-  // catches the damage.
+  // Flip a byte in the index: footer still parses, meta CRC catches the
+  // damage.
   uint64_t index_offset;
   std::memcpy(&index_offset, bytes.data() + bytes.size() - lsm::kFooterSize,
               8);
@@ -380,23 +380,38 @@ TEST(SSTableCrashTest, OpenRejectsCorruptFilesWithNamedErrors) {
   WriteFile(dir + "/meta.sst", bad_meta);
   ExpectOpenFails(dir + "/meta.sst", "SSTable meta checksum mismatch");
 
-  // Chop one byte: the 40 bytes now read as a footer are misaligned garbage.
+  // Chop one byte: the 32 bytes now read as a footer are misaligned garbage.
   WriteFile(dir + "/chop.sst", bytes.substr(0, bytes.size() - 1));
   EXPECT_FALSE(lsm::SSTable::Open(dir + "/chop.sst", 1).ok());
+
+  // Forged footers and indexes: `resealed` recomputes the metadata
+  // checksum (footer bytes 16..19, over the index), so only Open's
+  // structural checks stand guard.
+  const size_t meta_end = bytes.size() - lsm::kFooterSize;
+  auto resealed = [&](std::string forged) {
+    const uint32_t crc =
+        Crc32c(forged.data() + index_offset, meta_end - index_offset);
+    std::memcpy(&forged[meta_end + 16], &crc, 4);
+    return forged;
+  };
+
+  // A table of another format version is refused by version, not parsed
+  // with this version's layout.
+  std::string old_version = bytes;
+  const uint32_t v2 = 2;
+  std::memcpy(&old_version[meta_end + 20], &v2, 4);
+  WriteFile(dir + "/v2.sst", resealed(old_version));
+  ExpectOpenFails(dir + "/v2.sst", "unsupported SSTable version 2");
 
   // Reads walk the index forward and binary-search inside blocks, so an
   // index that is not first_key <= last_key < next.first_key is refused
   // even under a valid checksum. Overwrites field `field` (0 = first_key)
-  // of index entry `block` and re-seals the metadata checksum.
-  const size_t meta_end = bytes.size() - lsm::kFooterSize;
+  // of index entry `block`.
   auto reindexed = [&](size_t block, size_t field, uint64_t value) {
     std::string forged = bytes;
     std::memcpy(&forged[index_offset + block * lsm::kIndexEntrySize + field],
                 &value, 8);
-    const uint32_t crc =
-        Crc32c(forged.data() + index_offset, meta_end - index_offset);
-    std::memcpy(&forged[meta_end + 24], &crc, 4);
-    return forged;
+    return resealed(std::move(forged));
   };
   uint64_t block0_last;
   std::memcpy(&block0_last, bytes.data() + index_offset + 8, 8);
@@ -467,8 +482,72 @@ TEST(ManifestTest, CorruptionIsDetected) {
       << read.status().ToString();
 }
 
+// An intact checksum does not make the fields safe to act on: recovery
+// sizes its tier list by the tiers read, compaction deletes input files by
+// name, and new files are named from next_seq. Each of these forged
+// MANIFESTs is a named parse error.
+TEST(ManifestTest, RejectsFieldsRecoveryCannotTrust) {
+  const std::string dir = CrashScratchDir("manifest_forged");
+  lsm::ManifestState good;
+  good.next_seq = 9;
+  good.live_wals = {7};
+  good.tables = {{0, 2, "sstable_2.sst", 10}, {1, 5, "sstable_5.sst", 20}};
+  ASSERT_TRUE(lsm::WriteManifest(Env::Default(), dir, good).ok());
+  ASSERT_TRUE(lsm::ReadManifest(Env::Default(), dir).ok());
+
+  using Edit = void (*)(lsm::ManifestState*);
+  const Edit edits[] = {
+      [](lsm::ManifestState* s) { s->tables[0].tier = 4294967295u; },
+      [](lsm::ManifestState* s) { s->tables[0].tier = lsm::kMaxTiers; },
+      [](lsm::ManifestState* s) { s->tables[0].file = "../sstable_2.sst"; },
+      [](lsm::ManifestState* s) { s->tables[0].file = ".."; },
+      [](lsm::ManifestState* s) { s->tables[1].seq = 9; },  // == next_seq
+      [](lsm::ManifestState* s) { s->live_wals = {7, 12}; },
+      [](lsm::ManifestState* s) { s->tables[1].seq = 2; },  // reused
+      [](lsm::ManifestState* s) { s->live_wals = {2}; },   // a table's seq
+      [](lsm::ManifestState* s) { s->tables[1].file = "sstable_2.sst"; },
+  };
+  for (size_t i = 0; i < std::size(edits); ++i) {
+    SCOPED_TRACE("edit " + std::to_string(i));
+    lsm::ManifestState forged = good;
+    edits[i](&forged);
+    ASSERT_TRUE(lsm::WriteManifest(Env::Default(), dir, forged).ok());
+    auto read = lsm::ReadManifest(Env::Default(), dir);
+    ASSERT_FALSE(read.ok());
+    EXPECT_EQ(read.status().code(), StatusCode::kInvalid);
+    EXPECT_NE(read.status().message().find("manifest parse error"),
+              std::string::npos)
+        << read.status().ToString();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // LsmStore recovery
+
+// Recovery sizes its tier list as tier + 1, which wraps to 0 for tier
+// 4294967295, so an unchecked tier would index past the list. A forged
+// tier fails the reopen with a named error instead.
+TEST(LsmStoreCrashTest, ForgedManifestTierFailsRecoveryCleanly) {
+  const std::string dir = CrashScratchDir("store_forged_tier");
+  {
+    LsmStore store(dir, SweepStoreOptions(nullptr));
+    ASSERT_TRUE(store.Put(0, 1, 1.0, 2.0).ok());
+    ASSERT_TRUE(store.Flush().ok());
+    ASSERT_EQ(store.num_sstables(), 1u);
+  }
+  auto read = lsm::ReadManifest(Env::Default(), dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  lsm::ManifestState state = read.MoveValue();
+  ASSERT_EQ(state.tables.size(), 1u);
+  state.tables[0].tier = 4294967295u;
+  ASSERT_TRUE(lsm::WriteManifest(Env::Default(), dir, state).ok());
+
+  LsmStore reopened(dir, SweepStoreOptions(nullptr));
+  EXPECT_EQ(reopened.init_status().code(), StatusCode::kInvalid);
+  EXPECT_NE(reopened.init_status().message().find("manifest parse error"),
+            std::string::npos)
+      << reopened.init_status().ToString();
+}
 
 CrashFixture WalkFixture() {
   RandomWalkSpec spec;

@@ -1,5 +1,5 @@
-// White-box tests for the LSM engine: skip list, bloom filter, SSTable
-// format, flush/compaction lifecycle, newest-wins versioning.
+// White-box tests for the LSM engine: skip list, SSTable format,
+// flush/compaction lifecycle, newest-wins versioning.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -12,7 +12,6 @@
 
 #include "gen/synthetic.h"
 #include "storage/key.h"
-#include "storage/lsm/bloom.h"
 #include "storage/lsm/skiplist.h"
 #include "storage/lsm/sstable.h"
 #include "storage/lsm_store.h"
@@ -23,7 +22,6 @@ namespace {
 
 using ::k2::testing::ScratchDir;
 using ::k2::testing::WriteFile;
-using lsm::BloomFilter;
 using lsm::LsmValue;
 using lsm::SkipList;
 using lsm::SSTable;
@@ -88,46 +86,6 @@ TEST(SkipListTest, ClearEmptiesList) {
 }
 
 // ---------------------------------------------------------------------------
-// BloomFilter
-// ---------------------------------------------------------------------------
-
-TEST(BloomFilterTest, NoFalseNegatives) {
-  BloomFilter bloom(1000);
-  for (uint64_t k = 0; k < 1000; ++k) bloom.Add(k * 7919);
-  for (uint64_t k = 0; k < 1000; ++k) EXPECT_TRUE(bloom.MayContain(k * 7919));
-}
-
-TEST(BloomFilterTest, FalsePositiveRateIsLow) {
-  BloomFilter bloom(1000, 10);
-  for (uint64_t k = 0; k < 1000; ++k) bloom.Add(k);
-  int fp = 0;
-  for (uint64_t k = 1000000; k < 1010000; ++k) {
-    if (bloom.MayContain(k)) ++fp;
-  }
-  EXPECT_LT(fp, 500);  // ~1% expected at 10 bits/key; 5% safety bound
-}
-
-TEST(BloomFilterTest, SerializationRoundTrip) {
-  BloomFilter bloom(100);
-  for (uint64_t k = 0; k < 100; ++k) bloom.Add(k * 31);
-  // Round-trip through the raw on-disk num_hashes word, whose top bit
-  // carries the probe layout.
-  BloomFilter copy =
-      BloomFilter::FromWords(bloom.words(), bloom.num_hashes_for_disk());
-  for (uint64_t k = 0; k < 100; ++k) EXPECT_TRUE(copy.MayContain(k * 31));
-}
-
-TEST(BloomFilterTest, LegacyFlatLayoutStaysReadable) {
-  // A filter persisted without the blocked-layout flag (pre-blocked-era
-  // file) must keep the flat probe order: build one via FromWords, Add
-  // through the flat path, and verify membership.
-  BloomFilter flat =
-      BloomFilter::FromWords(std::vector<uint64_t>(16, 0), 7);
-  for (uint64_t k = 0; k < 50; ++k) flat.Add(k * 131);
-  for (uint64_t k = 0; k < 50; ++k) EXPECT_TRUE(flat.MayContain(k * 131));
-}
-
-// ---------------------------------------------------------------------------
 // SSTable
 // ---------------------------------------------------------------------------
 
@@ -135,7 +93,6 @@ TEST(SSTableTest, BuildOpenGetScan) {
   const std::string dir = ScratchDir("sstable");
   const std::string path = dir + "/t1.sst";
   SSTableBuilder builder(path);
-  builder.Reserve(1000);
   for (uint64_t k = 0; k < 1000; ++k) {
     ASSERT_TRUE(builder.Add(k * 3, {double(k), double(-k)}).ok());
   }
@@ -152,7 +109,7 @@ TEST(SSTableTest, BuildOpenGetScan) {
   const std::vector<uint64_t> keys{300, 301};
   LsmValue values[2];
   uint8_t found[2] = {0, 0};
-  EXPECT_EQ(table->MultiGet(keys, values, found, true, &stats), 1u);
+  EXPECT_EQ(table->MultiGet(keys, values, found, &stats), 1u);
   EXPECT_EQ(found[0], 1);
   EXPECT_DOUBLE_EQ(values[0].x, 100.0);
   EXPECT_EQ(found[1], 0);
@@ -174,36 +131,14 @@ TEST(SSTableTest, RejectsOutOfOrderKeys) {
   EXPECT_FALSE(builder.Add(5, {0, 0}).ok());
 }
 
-TEST(SSTableTest, BloomShortCircuitsMisses) {
-  const std::string path = ScratchDir("sstable_bloom") + "/t.sst";
-  SSTableBuilder builder(path);
-  for (uint64_t k = 0; k < 500; ++k) ASSERT_TRUE(builder.Add(k * 2, {0, 0}).ok());
-  ASSERT_TRUE(builder.Finish().ok());
-  auto table = SSTable::Open(path, 1).MoveValue();
-  std::vector<uint64_t> absent;  // all absent, inside the key range
-  for (uint64_t k = 1; k < 999; k += 2) absent.push_back(k);
-  std::vector<LsmValue> values(absent.size());
-  std::vector<uint8_t> found(absent.size(), 0);
-  IoStats stats;
-  EXPECT_EQ(table->MultiGet(absent, values.data(), found.data(), true, &stats),
-            0u);
-  EXPECT_GT(stats.bloom_negative, 400u);  // most misses read no data block
-  // Without the bloom, the same walk reads every block once.
-  IoStats no_bloom;
-  table->MultiGet(absent, values.data(), found.data(), false, &no_bloom);
-  EXPECT_EQ(no_bloom.bloom_negative, 0u);
-  EXPECT_EQ(no_bloom.pages_read, 3u);  // 500 entries = 3 blocks
-}
-
 /// Builds a table holding `rows` at `path` and opens it.
 std::shared_ptr<const SSTable> BuildTable(
     const std::string& path, const std::map<uint64_t, LsmValue>& rows,
-    uint64_t seq = 1, uint32_t tier = 0) {
+    uint64_t seq = 1) {
   SSTableBuilder builder(path);
-  builder.Reserve(rows.size());
   for (const auto& [key, value] : rows) K2_CHECK(builder.Add(key, value).ok());
   K2_CHECK(builder.Finish().ok());
-  auto table = SSTable::Open(path, seq, tier);
+  auto table = SSTable::Open(path, seq);
   K2_CHECK(table.ok());
   return table.MoveValue();
 }
@@ -234,8 +169,7 @@ TEST(SSTableTest, IoStatsModelIsExact) {
   std::map<uint64_t, LsmValue> rows;
   // Even keys 0..1998; block b (170 entries) holds keys [340b, 340b + 338].
   for (uint64_t k = 0; k < 1000; ++k) rows[k * 2] = {double(k), -double(k)};
-  auto table = BuildTable(ScratchDir("sstable_io_model") + "/t.sst", rows,
-                          1, /*tier=*/2);
+  auto table = BuildTable(ScratchDir("sstable_io_model") + "/t.sst", rows);
 
   // Blocks 0 (2, 3, 4), 1 (341, absent) and 4 (1500; 1501 absent); 5000
   // lies past the table.
@@ -243,12 +177,10 @@ TEST(SSTableTest, IoStatsModelIsExact) {
   std::vector<LsmValue> values(keys.size());
   std::vector<uint8_t> found(keys.size(), 0);
   IoStats io;
-  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), false, &io),
-            3u);
+  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), &io), 3u);
   EXPECT_EQ(found, (std::vector<uint8_t>{1, 0, 1, 0, 1, 0, 0}));
   EXPECT_DOUBLE_EQ(values[4].x, 750.0);
   EXPECT_EQ(io.sstables_touched, 1u);
-  EXPECT_EQ(io.tier_sstables_touched, (std::vector<uint64_t>{0, 0, 1}));
   EXPECT_EQ(io.pages_read, 3u);  // distinct blocks 0, 1, 4
   EXPECT_EQ(io.seeks, 2u);       // runs {0, 1} and {4}
   EXPECT_EQ(io.pages_cached, 0u);
@@ -258,11 +190,22 @@ TEST(SSTableTest, IoStatsModelIsExact) {
   // Keys a newer source already found are skipped: only block 4 is read.
   found = {1, 1, 1, 1, 0, 1, 1};
   IoStats skip;
-  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), false, &skip),
-            1u);
+  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), &skip), 1u);
   EXPECT_EQ(skip.pages_read, 1u);
   EXPECT_EQ(skip.seeks, 1u);
   EXPECT_EQ(skip.bytes_read, 24u);
+
+  // Absent keys cost their blocks all the same: the odd keys fall inside
+  // every block, so one walk reads all six blocks in one run.
+  std::vector<uint64_t> absent;
+  for (uint64_t k = 1; k < 1999; k += 2) absent.push_back(k);
+  values.resize(absent.size());
+  found.assign(absent.size(), 0);
+  IoStats miss;
+  EXPECT_EQ(table->MultiGet(absent, values.data(), found.data(), &miss), 0u);
+  EXPECT_EQ(miss.pages_read, 6u);
+  EXPECT_EQ(miss.seeks, 1u);
+  EXPECT_EQ(miss.bytes_read, 0u);
 
   // A scan reads blocks 1..3 in one run and hands out 341 rows.
   IoStats scan;
@@ -279,7 +222,7 @@ TEST(SSTableTest, IoStatsModelIsExact) {
 // Seeded property test: a newest-first MultiGet walk over overlapping
 // tables equals a std::map oracle where the newest table wins — for absent
 // keys, keys on both sides of block boundaries, ticks at the ends of int32,
-// empty key sets, whole-table and cross-tick key sets, bloom on and off.
+// empty key sets, whole-table and cross-tick key sets.
 TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
   const std::string dir = ScratchDir("sstable_multiget_oracle");
   const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -1, 0, 7,
@@ -322,31 +265,26 @@ TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
     }
     queries.push_back(std::move(all));  // one walk across every tick
     for (const std::vector<uint64_t>& keys : queries) {
-      for (bool bloom : {false, true}) {
-        std::vector<LsmValue> values(keys.size());
-        std::vector<uint8_t> found(keys.size(), 0);
-        IoStats io;
-        size_t hits = 0;
-        for (const auto& table : tables) {
-          hits += table->MultiGet(keys, values.data(), found.data(), bloom,
-                                  &io);
-        }
-        size_t want_hits = 0;
-        for (size_t i = 0; i < keys.size(); ++i) {
-          auto it = oracle.find(keys[i]);
-          ASSERT_EQ(found[i] != 0, it != oracle.end()) << "key " << keys[i];
-          if (it == oracle.end()) continue;
-          ++want_hits;
-          EXPECT_EQ(values[i].x, it->second.x) << "key " << keys[i];
-          EXPECT_EQ(values[i].y, it->second.y) << "key " << keys[i];
-        }
-        EXPECT_EQ(hits, want_hits);
-        EXPECT_EQ(io.bytes_read, want_hits * 24);
-        EXPECT_EQ(io.pages_cached, 0u);
-        if (!bloom) {
-          EXPECT_EQ(io.bloom_negative, 0u);
-        }
+      std::vector<LsmValue> values(keys.size());
+      std::vector<uint8_t> found(keys.size(), 0);
+      IoStats io;
+      size_t hits = 0;
+      for (const auto& table : tables) {
+        hits += table->MultiGet(keys, values.data(), found.data(), &io);
       }
+      size_t want_hits = 0;
+      for (size_t i = 0; i < keys.size(); ++i) {
+        auto it = oracle.find(keys[i]);
+        ASSERT_EQ(found[i] != 0, it != oracle.end()) << "key " << keys[i];
+        if (it == oracle.end()) continue;
+        ++want_hits;
+        EXPECT_EQ(values[i].x, it->second.x) << "key " << keys[i];
+        EXPECT_EQ(values[i].y, it->second.y) << "key " << keys[i];
+      }
+      EXPECT_EQ(hits, want_hits);
+      EXPECT_EQ(io.bytes_read, want_hits * 24);
+      EXPECT_EQ(io.pages_cached, 0u);
+      EXPECT_EQ(io.bloom_negative, 0u);
     }
   }
 }
@@ -555,95 +493,67 @@ TEST(LsmStoreTest, WalSegmentChainResetsWhenMemtableRotates) {
   ASSERT_EQ(out.size(), 1u);
 }
 
-TEST(LsmStoreTest, BloomAblationStillCorrect) {
-  LsmStore::Options options;
-  options.use_bloom = false;
-  options.memtable_limit = 50;
-  LsmStore store(ScratchDir("lsm_nobloom"), options);
-  for (Timestamp t = 0; t < 30; ++t) {
-    for (ObjectId o = 0; o < 5; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
-  }
-  ASSERT_TRUE(store.Flush().ok());
-  std::vector<SnapshotPoint> out;
-  ASSERT_TRUE(store.GetPoints(10, ObjectSet::Of({0, 3, 9}), &out).ok());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(store.io_stats().bloom_negative, 0u);
-}
-
 // Seeded property test of LsmStore::GetPoints and its read snapshot against
 // a std::map oracle: out-of-order ticks (including both ends of int32) make
 // flushed tables overlap, overwrites make the newest version win across
-// memtable and tables, and both bloom settings must agree.
+// memtable and tables.
 TEST(LsmStoreTest, GetPointsMatchesOracle) {
   const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -3, 0, 1,
                              std::numeric_limits<Timestamp>::max()};
-  for (bool use_bloom : {true, false}) {
-    SCOPED_TRACE(use_bloom ? "bloom" : "no bloom");
-    LsmStore::Options options;
-    options.memtable_limit = 97;
-    options.tier_fanout = 3;
-    options.use_bloom = use_bloom;
-    options.background_compaction = false;
-    LsmStore store(ScratchDir("lsm_getpoints_oracle"), options);
-    std::map<uint64_t, LsmValue> oracle;
-    std::mt19937_64 rng(777);
-    for (int i = 0; i < 3000; ++i) {
-      const Timestamp t = ticks[rng() % 5];
-      const ObjectId oid = static_cast<ObjectId>(rng() % 400);
-      const LsmValue v{double(i), -double(i)};
-      ASSERT_TRUE(store.Put(t, oid, v.x, v.y).ok());
-      oracle[MakeKey(t, oid)] = v;
+  LsmStore::Options options;
+  options.memtable_limit = 97;
+  options.tier_fanout = 3;
+  options.background_compaction = false;
+  LsmStore store(ScratchDir("lsm_getpoints_oracle"), options);
+  std::map<uint64_t, LsmValue> oracle;
+  std::mt19937_64 rng(777);
+  for (int i = 0; i < 3000; ++i) {
+    const Timestamp t = ticks[rng() % 5];
+    const ObjectId oid = static_cast<ObjectId>(rng() % 400);
+    const LsmValue v{double(i), -double(i)};
+    ASSERT_TRUE(store.Put(t, oid, v.x, v.y).ok());
+    oracle[MakeKey(t, oid)] = v;
+  }
+  ASSERT_GT(store.num_sstables(), 1u);
+  ASSERT_GT(store.memtable_entries(), 0u);
+  auto snapshot_r = store.CreateReadSnapshot();
+  ASSERT_TRUE(snapshot_r.ok());
+  std::unique_ptr<Store> snapshot = snapshot_r.MoveValue();
+  for (int q = 0; q < 200; ++q) {
+    const Timestamp t = ticks[q % 5];
+    std::vector<ObjectId> ids;  // q % 10 == 0: the empty set
+    for (ObjectId oid = 0; oid < 450 && q % 10 != 0; ++oid) {
+      if (rng() % (1 + q % 4) == 0) ids.push_back(oid);
     }
-    ASSERT_GT(store.num_sstables(), 1u);
-    ASSERT_GT(store.memtable_entries(), 0u);
-    auto snapshot_r = store.CreateReadSnapshot();
-    ASSERT_TRUE(snapshot_r.ok());
-    std::unique_ptr<Store> snapshot = snapshot_r.MoveValue();
-    uint64_t bloom_negative = 0;
-    for (int q = 0; q < 200; ++q) {
-      const Timestamp t = ticks[q % 5];
-      std::vector<ObjectId> ids;  // q % 10 == 0: the empty set
-      for (ObjectId oid = 0; oid < 450 && q % 10 != 0; ++oid) {
-        if (rng() % (1 + q % 4) == 0) ids.push_back(oid);
-      }
-      const ObjectSet objects{std::vector<ObjectId>(ids)};
-      std::vector<SnapshotPoint> want;
-      for (ObjectId oid : ids) {
-        auto it = oracle.find(MakeKey(t, oid));
-        if (it != oracle.end()) {
-          want.push_back(SnapshotPoint{oid, it->second.x, it->second.y});
-        }
-      }
-      for (Store* reader : {static_cast<Store*>(&store), snapshot.get()}) {
-        const IoStats before = reader->io_stats();
-        std::vector<SnapshotPoint> got;
-        ASSERT_TRUE(reader->GetPoints(t, objects, &got).ok());
-        ASSERT_EQ(got.size(), want.size()) << "tick " << t;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].oid, want[i].oid);
-          EXPECT_EQ(got[i].x, want[i].x);
-          EXPECT_EQ(got[i].y, want[i].y);
-        }
-        const IoStats d = IoStats::Delta(reader->io_stats(), before);
-        EXPECT_EQ(d.point_queries, ids.size());
-        EXPECT_EQ(d.point_hits, want.size());
-        EXPECT_EQ(d.pages_cached, 0u);
-        bloom_negative += d.bloom_negative;
+    const ObjectSet objects{std::vector<ObjectId>(ids)};
+    std::vector<SnapshotPoint> want;
+    for (ObjectId oid : ids) {
+      auto it = oracle.find(MakeKey(t, oid));
+      if (it != oracle.end()) {
+        want.push_back(SnapshotPoint{oid, it->second.x, it->second.y});
       }
     }
-    // Tables overlap, so many keys a newer table lacks fall inside its
-    // blocks; the bloom rules some of them out.
-    if (use_bloom) {
-      EXPECT_GT(bloom_negative, 0u);
-    } else {
-      EXPECT_EQ(bloom_negative, 0u);
+    for (Store* reader : {static_cast<Store*>(&store), snapshot.get()}) {
+      const IoStats before = reader->io_stats();
+      std::vector<SnapshotPoint> got;
+      ASSERT_TRUE(reader->GetPoints(t, objects, &got).ok());
+      ASSERT_EQ(got.size(), want.size()) << "tick " << t;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].oid, want[i].oid);
+        EXPECT_EQ(got[i].x, want[i].x);
+        EXPECT_EQ(got[i].y, want[i].y);
+      }
+      const IoStats d = IoStats::Delta(reader->io_stats(), before);
+      EXPECT_EQ(d.point_queries, ids.size());
+      EXPECT_EQ(d.point_hits, want.size());
+      EXPECT_EQ(d.pages_cached, 0u);
+      EXPECT_EQ(d.bloom_negative, 0u);
     }
   }
 }
 
 // The store-level IoStats model under default options: a tick inside one
-// table costs one walk, one read per distinct block, 24 B per row, and no
-// bloom probe.
+// table costs one walk, one read per distinct block, and 24 B per row.
 TEST(LsmStoreTest, GetPointsChargesTheDocumentedIoModel) {
   LsmStore::Options options;
   options.background_compaction = false;

@@ -62,7 +62,6 @@ Pristine BuildPristine(const std::string& path) {
     }
   }
   SSTableBuilder builder(path);
-  builder.Reserve(p.rows.size());
   for (const auto& [key, value] : p.rows) {
     K2_CHECK(builder.Add(key, value).ok());
     p.keys.push_back(key);
@@ -123,8 +122,9 @@ std::string Mutate(const Pristine& p, std::mt19937_64* rng) {
         bytes[at] = static_cast<char>(bytes[at] ^ (1u << ((*rng)() % 8)));
       }
       break;
-    case 3:  // forge: damage the index and bloom, then re-seal the
-             // checksum, so only Open's structural checks stand guard
+    case 3:  // forge: damage the index, then re-seal the checksum
+             // (footer bytes 16..19), so only Open's structural checks
+             // stand guard
     {
       const size_t meta_end = bytes.size() - kFooterSize;
       for (int i = 0; i < 1 + static_cast<int>((*rng)() % 3); ++i) {
@@ -172,21 +172,19 @@ void CheckReads(const Pristine& p, const SSTable& table, const Damage& d,
     if ((*rng)() % 16 == 0) keys.push_back(key + 1);  // absent or next row
   }
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
-  for (bool bloom : {false, true}) {
-    std::vector<LsmValue> values(keys.size());
-    std::vector<uint8_t> found(keys.size(), 0);
-    IoStats io;
-    const size_t hits =
-        table.MultiGet(keys, values.data(), found.data(), bloom, &io);
-    ASSERT_LE(hits, keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-      if (!intact(keys[i])) continue;
-      auto it = p.rows.find(keys[i]);
-      ASSERT_EQ(found[i] != 0, it != p.rows.end()) << "key " << keys[i];
-      if (it == p.rows.end()) continue;
-      EXPECT_EQ(values[i].x, it->second.x);
-      EXPECT_EQ(values[i].y, it->second.y);
-    }
+  std::vector<LsmValue> values(keys.size());
+  std::vector<uint8_t> found(keys.size(), 0);
+  IoStats point_io;
+  const size_t hits =
+      table.MultiGet(keys, values.data(), found.data(), &point_io);
+  ASSERT_LE(hits, keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (!intact(keys[i])) continue;
+    auto it = p.rows.find(keys[i]);
+    ASSERT_EQ(found[i] != 0, it != p.rows.end()) << "key " << keys[i];
+    if (it == p.rows.end()) continue;
+    EXPECT_EQ(values[i].x, it->second.x);
+    EXPECT_EQ(values[i].y, it->second.y);
   }
 
   // Range reads: every emitted key lies in range, and every pristine row in

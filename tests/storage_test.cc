@@ -3,7 +3,6 @@
 #include <atomic>
 #include <filesystem>
 #include <memory>
-#include <numeric>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -127,65 +126,27 @@ TEST_P(StoreConformanceTest, IoStatsAdvanceOnQueries) {
   EXPECT_EQ(store->io_stats().point_hits, 1u);
 }
 
-// Per-tier read fan-out accounting: the vector algebra must tolerate stats
-// of different tier depths (a shallow store vs one that compacted deeper).
-TEST(IoStatsTierTest, DeltaAndAccumulateHandleDifferentDepths) {
-  IoStats shallow;  // never read past tier 0
-  shallow.sstables_touched = 3;
-  shallow.tier_sstables_touched = {3};
-  IoStats deep;  // reads reached tier 1
-  deep.sstables_touched = 8;
-  deep.tier_sstables_touched = {5, 3};
-  deep.tier_bloom_skipped = {0, 2};
+// Delta and Accumulate are component-wise over every counter.
+TEST(IoStatsTest, DeltaAndAccumulateAreComponentWise) {
+  IoStats before;
+  before.sstables_touched = 3;
+  before.point_queries = 10;
+  IoStats after;
+  after.sstables_touched = 8;
+  after.point_queries = 25;
+  after.point_hits = 4;
 
-  const IoStats d = IoStats::Delta(deep, shallow);
-  ASSERT_EQ(d.tier_sstables_touched.size(), 2u);
-  EXPECT_EQ(d.tier_sstables_touched[0], 2u);
-  EXPECT_EQ(d.tier_sstables_touched[1], 3u);
-  ASSERT_EQ(d.tier_bloom_skipped.size(), 2u);
-  EXPECT_EQ(d.tier_bloom_skipped[0], 0u);
-  EXPECT_EQ(d.tier_bloom_skipped[1], 2u);
+  const IoStats d = IoStats::Delta(after, before);
+  EXPECT_EQ(d.sstables_touched, 5u);
+  EXPECT_EQ(d.point_queries, 15u);
+  EXPECT_EQ(d.point_hits, 4u);
 
-  IoStats total = shallow;
-  total.Accumulate(deep);
+  IoStats total = before;
+  total.Accumulate(after);
   EXPECT_EQ(total.sstables_touched, 11u);
-  ASSERT_EQ(total.tier_sstables_touched.size(), 2u);
-  EXPECT_EQ(total.tier_sstables_touched[0], 8u);
-  EXPECT_EQ(total.tier_sstables_touched[1], 3u);
-}
-
-// End-to-end on a real multi-tier LSM store: the per-tier split must tie
-// out exactly with the flat sstables_touched / bloom_negative counters.
-TEST(IoStatsTierTest, LsmReadFanOutSplitsByTier) {
-  LsmStore::Options options;
-  options.memtable_limit = 64;
-  options.tier_fanout = 2;
-  options.use_bloom = true;
-  LsmStore store(ScratchDir("lsm_tier_stats"), options);
-  for (Timestamp t = 0; t < 100; ++t) {
-    for (ObjectId o = 0; o < 8; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
-  }
-  ASSERT_TRUE(store.Flush().ok());
-  ASSERT_GT(store.num_tiers(), 1u);  // compaction must have promoted tables
-  ASSERT_GT(store.compactions_run(), 0u);
-
-  store.io_stats().Clear();
-  std::vector<SnapshotPoint> out;
-  for (Timestamp t = 0; t < 100; t += 7) {
-    ASSERT_TRUE(store.GetPoints(t, ObjectSet::Of({0, 5, 7}), &out).ok());
-    // Absent oids exercise the bloom-skip path against every table probed.
-    ASSERT_TRUE(store.GetPoints(t, ObjectSet::Of({1000, 2000}), &out).ok());
-  }
-  const IoStats& stats = store.io_stats();
-  EXPECT_GT(stats.sstables_touched, 0u);
-  EXPECT_LE(stats.tier_sstables_touched.size(), store.num_tiers());
-  EXPECT_EQ(std::accumulate(stats.tier_sstables_touched.begin(),
-                            stats.tier_sstables_touched.end(), uint64_t{0}),
-            stats.sstables_touched);
-  EXPECT_GT(stats.bloom_negative, 0u);
-  EXPECT_EQ(std::accumulate(stats.tier_bloom_skipped.begin(),
-                            stats.tier_bloom_skipped.end(), uint64_t{0}),
-            stats.bloom_negative);
+  EXPECT_EQ(total.point_queries, 35u);
+  EXPECT_EQ(total.point_hits, 4u);
+  EXPECT_EQ(total.points_read(), 4u);
 }
 
 TEST_P(StoreConformanceTest, BulkLoadReplacesContent) {
