@@ -143,6 +143,14 @@ JsonFields& JsonFields::Str(const std::string& key, const std::string& value) {
   return *this;
 }
 
+JsonFields& JsonFields::Obj(const std::string& key, const JsonFields& fields) {
+  // fields.json() is ",\"a\":1,..."; drop its leading comma inside braces.
+  const std::string& body = fields.json();
+  json_ += ",\"" + JsonEscape(key) + "\":{" +
+           (body.empty() ? body : body.substr(1)) + "}";
+  return *this;
+}
+
 void RecordMiningRun(const std::string& miner, const Store& store,
                      const MiningParams& params, double seconds,
                      size_t convoys, const IoStats& io,
@@ -286,7 +294,18 @@ MineOutcome RunK2(Store* store, const MiningParams& params, K2HopStats* stats,
   outcome.seconds = sw.ElapsedSeconds();
   K2_CHECK(result.ok());
   outcome.convoys = result.value().size();
-  RecordRun("k2hop", *store, params, outcome.seconds, outcome.convoys, s->io);
+  // The deterministic validation counters (gated exactly by
+  // scripts/bench_compare.py) and the Fig. 8i phase split.
+  JsonFields phase_ms;
+  for (const auto& [name, seconds] : s->phases.phases()) {
+    phase_ms.Num(name, seconds * 1e3);
+  }
+  RecordMiningRun(
+      "k2hop", *store, params, outcome.seconds, outcome.convoys, s->io,
+      JsonFields()
+          .Int("validation_reclusterings", s->validation.reclusterings)
+          .Int("validation_proven_ticks", s->validation.proven_ticks)
+          .Obj("phase_ms", phase_ms));
   return outcome;
 }
 

@@ -76,6 +76,8 @@ class JsonFields {
   JsonFields& Num(const std::string& key, double value);
   JsonFields& Int(const std::string& key, uint64_t value);
   JsonFields& Str(const std::string& key, const std::string& value);
+  /// Nests `fields` as the object `"key":{...}`.
+  JsonFields& Obj(const std::string& key, const JsonFields& fields);
 
   bool empty() const { return json_.empty(); }
   /// ",\"key\":value..." — splices after the record's fixed fields.

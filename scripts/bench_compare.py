@@ -13,6 +13,10 @@ exit 1 — when:
   * a baseline record has no match in the fresh snapshot;
   * convoy counts differ (mining output is deterministic at equal scale:
     any drift is a correctness bug, no tolerance);
+  * a deterministic validation counter (any numeric key starting with
+    validation_, e.g. k2hop rows' validation_reclusterings) differs, or is
+    missing from the fresh record: these counts repeat exactly at equal
+    scale, so any change is a behaviour change to review and re-baseline;
   * a record's wall time exceeds baseline * tolerance (default 2.0,
     override with --tolerance or K2_BENCH_TIME_TOL), ignoring records
     where both sides are under --min-ms (default 5 ms, pure noise);
@@ -66,6 +70,14 @@ def keyed(records):
 
 
 PERCENTILE_SUFFIXES = ("_p50", "_p99", "_p999")
+EXACT_PREFIXES = ("validation_",)
+
+
+def exact_fields(base):
+    """Sorted numeric keys of a baseline record that are gated exactly."""
+    return sorted(key for key, value in base.items()
+                  if key.startswith(EXACT_PREFIXES)
+                  and isinstance(value, (int, float)))
 
 
 def percentile_fields(base, live):
@@ -131,6 +143,11 @@ def main():
             failures.append(
                 f"{tag}: convoy count drifted {base.get('convoys')} -> "
                 f"{live.get('convoys')} (must be exact)")
+        for field in exact_fields(base):
+            if base[field] != live.get(field):
+                failures.append(
+                    f"{tag}: {field} drifted {base[field]} -> "
+                    f"{live.get(field)} (must be exact)")
         for field in percentile_fields(base, live):
             base_p = float(base[field])
             live_p = float(live[field])

@@ -1,7 +1,6 @@
 #include "baselines/validation.h"
 
 #include <deque>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "baselines/sweep.h"
@@ -42,17 +41,21 @@ uint64_t ConvoyKey(const Convoy& v) {
 }
 
 /// Per-candidate context: re-clusterings of DB[t]|O, probed lazily and
-/// cached so the fallback sweep reuses what the fast path computed.
+/// cached so the fallback sweep reuses what the fast path computed. A tick
+/// the ledger proves for O is answered with {O} instead.
 class RestrictionProber {
  public:
   RestrictionProber(Store* store, const Convoy& candidate,
                     const MiningParams& params, ValidationStats* stats,
-                    SnapshotScratch* scratch)
+                    SnapshotScratch* scratch, const FcLedger* ledger)
       : store_(store),
         candidate_(candidate),
         params_(params),
         stats_(stats),
-        scratch_(scratch) {}
+        scratch_(scratch),
+        facts_(ledger != nullptr ? ledger->Facts(candidate.objects)
+                                 : FcLedger::SetFacts()),
+        cache_(static_cast<size_t>(candidate.length()), nullptr) {}
 
   /// True when DB[t]|O clusters to exactly {O} for every t (FC property).
   Result<bool> IsFullyConnected() {
@@ -79,15 +82,20 @@ class RestrictionProber {
 
  private:
   Result<const std::vector<ObjectSet>*> ClustersAt(Timestamp t) {
-    auto it = cache_.find(t);
-    if (it == cache_.end()) {
+    const std::vector<ObjectSet>*& cs =
+        cache_[static_cast<size_t>(int64_t{t} - candidate_.start)];
+    if (cs != nullptr) return cs;
+    if (facts_.Proven(t)) {
+      if (stats_ != nullptr) ++stats_->proven_ticks;
+      cs = &self_;
+    } else {
       K2_ASSIGN_OR_RETURN(
-          std::vector<ObjectSet> cs,
+          std::vector<ObjectSet> clusters,
           ReCluster(store_, t, candidate_.objects, params_, scratch_));
       if (stats_ != nullptr) ++stats_->reclusterings;
-      it = cache_.emplace(t, std::move(cs)).first;
+      cs = &computed_.emplace_back(std::move(clusters));
     }
-    return &it->second;
+    return cs;
   }
 
   Store* store_;
@@ -95,14 +103,27 @@ class RestrictionProber {
   const MiningParams& params_;
   ValidationStats* stats_;
   SnapshotScratch* scratch_;
-  std::unordered_map<Timestamp, std::vector<ObjectSet>> cache_;
+  const FcLedger::SetFacts facts_;
+  const std::vector<ObjectSet> self_{candidate_.objects};  ///< {O}
+  std::deque<std::vector<ObjectSet>> computed_;  ///< stable addresses
+  /// Indexed by t - candidate.start; the probes cover the lifespan
+  /// anyway (BinarySubdivisionOrder lists every tick of it).
+  std::vector<const std::vector<ObjectSet>*> cache_;
 };
 
 }  // namespace
 
+void ValidationStats::Accumulate(const ValidationStats& other) {
+  candidates_in += other.candidates_in;
+  fc_accepted += other.fc_accepted;
+  split_rounds += other.split_rounds;
+  reclusterings += other.reclusterings;
+  proven_ticks += other.proven_ticks;
+}
+
 Result<std::vector<Convoy>> ValidateFullyConnected(
     Store* store, std::vector<Convoy> candidates, const MiningParams& params,
-    bool recursive, ValidationStats* stats) {
+    bool recursive, ValidationStats* stats, const FcLedger* ledger) {
   if (stats != nullptr) stats->candidates_in = candidates.size();
   MaximalConvoySet accepted;
   SnapshotScratch scratch;
@@ -118,7 +139,7 @@ Result<std::vector<Convoy>> ValidateFullyConnected(
     }
     if (!seen.insert(ConvoyKey(v)).second) continue;
 
-    RestrictionProber prober(store, v, params, stats, &scratch);
+    RestrictionProber prober(store, v, params, stats, &scratch, ledger);
     K2_ASSIGN_OR_RETURN(bool is_fc, prober.IsFullyConnected());
     if (is_fc) {
       if (stats != nullptr) ++stats->fc_accepted;

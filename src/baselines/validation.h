@@ -5,12 +5,15 @@
 // exact sweep over the restriction and recurses on the resulting pieces —
 // the paper's correction of DCVal. `recursive = false` reproduces the
 // original one-pass DCVal (Yoon & Shahabi), which can emit non-FC convoys
-// because split results are not re-validated.
+// because split results are not re-validated. An optional FC ledger
+// (cluster/fc_ledger.h) answers the probes of ticks the run has already
+// proved for exactly the candidate's object set.
 #ifndef K2_BASELINES_VALIDATION_H_
 #define K2_BASELINES_VALIDATION_H_
 
 #include <vector>
 
+#include "cluster/fc_ledger.h"
 #include "common/convoy.h"
 #include "common/status.h"
 #include "common/types.h"
@@ -29,13 +32,21 @@ struct ValidationStats {
   size_t fc_accepted = 0;     ///< candidates that passed unchanged
   size_t split_rounds = 0;    ///< fallback sweeps executed
   size_t reclusterings = 0;   ///< restricted DBSCAN runs
+  size_t proven_ticks = 0;    ///< probes answered by the FC ledger
+
+  /// Adds `other`'s counters to these.
+  void Accumulate(const ValidationStats& other);
 };
 
 /// Reduces `candidates` to the maximal fully connected convoys they
-/// contain. All data access goes through `store` point reads.
+/// contain. All data access goes through `store` point reads. `ledger`
+/// (optional, read only) must hold facts about `store`'s data under
+/// `params`; a probe of (t, O) it proves is not re-clustered. The output
+/// is the same with and without it.
 Result<std::vector<Convoy>> ValidateFullyConnected(
     Store* store, std::vector<Convoy> candidates, const MiningParams& params,
-    bool recursive = true, ValidationStats* stats = nullptr);
+    bool recursive = true, ValidationStats* stats = nullptr,
+    const FcLedger* ledger = nullptr);
 
 }  // namespace k2
 

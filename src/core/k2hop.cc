@@ -82,7 +82,8 @@ std::vector<ObjectSet> CandidateClusters(const std::vector<ObjectSet>& left,
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
-    bool binary_order, bool verify_right_benchmark, SnapshotScratch* scratch) {
+    bool binary_order, bool verify_right_benchmark, SnapshotScratch* scratch,
+    FcLedger* ledger) {
   std::vector<ObjectSet> surviving = candidates;
   if (surviving.empty()) return surviving;
   std::optional<SnapshotScratch> local_scratch;
@@ -108,6 +109,10 @@ Result<std::vector<ObjectSet>> HwmtSpanning(
       K2_ASSIGN_OR_RETURN(
           std::vector<ObjectSet> clusters,
           ReCluster(store, t, candidate, params, scratch));
+      if (ledger != nullptr && clusters.size() == 1 &&
+          clusters[0] == candidate) {
+        ledger->Record(candidate, t);
+      }
       for (ObjectSet& c : clusters) next.push_back(std::move(c));
     }
     if (next.empty()) return next;  // no spanning convoy in this window
@@ -195,7 +200,8 @@ ConvoyExtensionWalk::ConvoyExtensionWalk(const Convoy& seed, int dir)
 Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
                                     Timestamp upto,
                                     std::vector<Convoy>* completed,
-                                    SnapshotScratch* scratch) {
+                                    SnapshotScratch* scratch,
+                                    FcLedger* ledger) {
   std::optional<SnapshotScratch> local_scratch;
   if (scratch == nullptr) scratch = &local_scratch.emplace();
   while (!frontier_.empty() && (dir_ > 0 ? next_t_ <= upto : next_t_ >= upto)) {
@@ -203,6 +209,11 @@ Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
     const auto t = static_cast<Timestamp>(next_t_);
     std::vector<ObjectSet> next;
     for (ObjectSet& set : frontier_) {
+      if (ledger != nullptr && ledger->Proven(set, t)) {
+        // Proven FC at t: ReCluster would return exactly {set}.
+        next.push_back(std::move(set));
+        continue;
+      }
       K2_ASSIGN_OR_RETURN(std::vector<ObjectSet> clusters,
                           ReCluster(store, t, set, params, scratch));
       bool found_self = false;
@@ -210,6 +221,7 @@ Status ConvoyExtensionWalk::Advance(Store* store, const MiningParams& params,
         if (c == set) found_self = true;
         next.push_back(std::move(c));
       }
+      if (found_self && ledger != nullptr) ledger->Record(set, t);
       if (!found_self) {
         // The branch could not be extended in its current shape: emit it.
         const Timestamp cur_end = t - dir_;
@@ -245,14 +257,16 @@ namespace {
 Result<std::vector<Convoy>> ExtendDirected(Store* store,
                                            const MiningParams& params,
                                            std::vector<Convoy> convoys,
-                                           Timestamp limit, int dir) {
+                                           Timestamp limit, int dir,
+                                           FcLedger* ledger) {
   MaximalConvoySet results;
   SnapshotScratch scratch;
   std::vector<Convoy> completed;
   for (Convoy& v : convoys) {
     completed.clear();
     ConvoyExtensionWalk walk(v, dir);
-    K2_RETURN_NOT_OK(walk.Advance(store, params, limit, &completed, &scratch));
+    K2_RETURN_NOT_OK(
+        walk.Advance(store, params, limit, &completed, &scratch, ledger));
     walk.Flush(limit, &completed);
     for (Convoy& c : completed) results.Insert(std::move(c));
   }
@@ -264,14 +278,18 @@ Result<std::vector<Convoy>> ExtendDirected(Store* store,
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
                                         std::vector<Convoy> convoys,
-                                        Timestamp dataset_end) {
-  return ExtendDirected(store, params, std::move(convoys), dataset_end, +1);
+                                        Timestamp dataset_end,
+                                        FcLedger* ledger) {
+  return ExtendDirected(store, params, std::move(convoys), dataset_end, +1,
+                        ledger);
 }
 
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
                                        std::vector<Convoy> convoys,
-                                       Timestamp dataset_start) {
-  return ExtendDirected(store, params, std::move(convoys), dataset_start, -1);
+                                       Timestamp dataset_start,
+                                       FcLedger* ledger) {
+  return ExtendDirected(store, params, std::move(convoys), dataset_start, -1,
+                        ledger);
 }
 
 // k2-lint: allow(validate-mining-params): internal pipeline stage — the
@@ -281,7 +299,7 @@ Status MineHopWindows(Store* store, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats) {
+                      HopWindowPipelineStats* stats, FcLedger* ledger) {
   // Entry-point validation (ValidateMiningParams) happened in the caller;
   // shard drivers reaching this directly must uphold the same contract.
   K2_DCHECK(params.m >= 2 && params.k >= 2);
@@ -328,7 +346,7 @@ Status MineHopWindows(Store* store, const MiningParams& params,
         HwmtSpanning(store, params, benchmarks[w], benchmarks[w + 1],
                      candidates[w], options.hwmt_binary_order,
                      /*verify_right_benchmark=*/!options.candidate_pruning,
-                     &scratch));
+                     &scratch, ledger));
     s->spanning_convoys += (*spanning)[w].size();
   }
   s->phases.Add("HWMT", sw.ElapsedSeconds());

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "baselines/validation.h"
+#include "cluster/fc_ledger.h"
 #include "cluster/store_clustering.h"
 #include "common/convoy.h"
 #include "common/status.h"
@@ -109,22 +110,26 @@ struct HopWindowPipelineStats {
 /// concurrent shards each pass their own store handle. Fills
 /// `spanning->at(w)` with the spanning convoys of the window
 /// [benchmarks[w], benchmarks[w+1]] for w in [0, benchmarks.size() - 1).
-/// `stats` may be null.
+/// `stats` may be null. HWMT records its FC facts into `ledger` when one
+/// is given.
 Status MineHopWindows(Store* store, const MiningParams& params,
                       std::span<const Timestamp> benchmarks,
                       const K2HopOptions& options,
                       std::vector<std::vector<ObjectSet>>* spanning,
-                      HopWindowPipelineStats* stats = nullptr);
+                      HopWindowPipelineStats* stats = nullptr,
+                      FcLedger* ledger = nullptr);
 
 /// HWMT (Algorithm 2): verifies candidates at every tick strictly inside
 /// (b_left, b_right); when `verify_right_benchmark`, b_right is probed too
 /// (used by the no-pruning ablation). Returns the surviving object sets.
-/// `scratch` (optional) makes repeated calls allocation-free.
+/// `scratch` (optional) makes repeated calls allocation-free. Every probe
+/// that re-clusters a set to exactly itself is recorded into `ledger`
+/// (optional); HWMT never reads it, since its probes are all first-seen.
 Result<std::vector<ObjectSet>> HwmtSpanning(
     Store* store, const MiningParams& params, Timestamp b_left,
     Timestamp b_right, const std::vector<ObjectSet>& candidates,
     bool binary_order = true, bool verify_right_benchmark = false,
-    SnapshotScratch* scratch = nullptr);
+    SnapshotScratch* scratch = nullptr, FcLedger* ledger = nullptr);
 
 /// DCM merge (Sec. 4.4): folds per-window spanning convoys left to right
 /// into maximal spanning convoys. `spanning[i]` spans
@@ -183,7 +188,9 @@ class SpanningConvoyMerger {
 /// miner suspends right-walks at the ingest frontier and resumes them per
 /// appended tick). Branches whose objects stop clustering together are
 /// appended to `*completed` as finished convoys; Flush() closes the
-/// surviving branches at the dataset boundary.
+/// surviving branches at the dataset boundary. With an FC ledger, a branch
+/// the ledger proves at a tick steps forward without a re-clustering, and
+/// every branch that re-clusters to exactly itself is recorded.
 class ConvoyExtensionWalk {
  public:
   ConvoyExtensionWalk(const Convoy& seed, int dir);
@@ -195,10 +202,12 @@ class ConvoyExtensionWalk {
   size_t num_branches() const { return frontier_.size(); }
 
   /// Probes ticks from next_tick() through `upto` (inclusive, in walk
-  /// direction), stopping early once every branch has died.
+  /// direction), stopping early once every branch has died. `ledger` is
+  /// optional.
   Status Advance(Store* store, const MiningParams& params, Timestamp upto,
                  std::vector<Convoy>* completed,
-                 SnapshotScratch* scratch = nullptr);
+                 SnapshotScratch* scratch = nullptr,
+                 FcLedger* ledger = nullptr);
 
   /// Closes every surviving branch at `limit` (the dataset boundary); the
   /// walk is done() afterwards.
@@ -213,13 +222,16 @@ class ConvoyExtensionWalk {
 
 /// Algorithm 3 and its mirror: extends each convoy tick-by-tick until its
 /// objects stop clustering together; splits continue as smaller convoys.
+/// The walks read and write `ledger` (optional).
 Result<std::vector<Convoy>> ExtendRight(Store* store,
                                         const MiningParams& params,
                                         std::vector<Convoy> convoys,
-                                        Timestamp dataset_end);
+                                        Timestamp dataset_end,
+                                        FcLedger* ledger = nullptr);
 Result<std::vector<Convoy>> ExtendLeft(Store* store, const MiningParams& params,
                                        std::vector<Convoy> convoys,
-                                       Timestamp dataset_start);
+                                       Timestamp dataset_start,
+                                       FcLedger* ledger = nullptr);
 
 }  // namespace k2
 

@@ -258,10 +258,7 @@ Result<const std::vector<Convoy>*> OnlineK2HopMiner::ValidatedPieces(
                                          /*recursive=*/true, &vs);
     K2_RETURN_NOT_OK(result.status());
     pieces = result.MoveValue();
-    stats_.validation.candidates_in += vs.candidates_in;
-    stats_.validation.fc_accepted += vs.fc_accepted;
-    stats_.validation.split_rounds += vs.split_rounds;
-    stats_.validation.reclusterings += vs.reclusterings;
+    stats_.validation.Accumulate(vs);
     return Status::OK();
   }));
   it = validate_cache_.emplace(f, std::move(pieces)).first;

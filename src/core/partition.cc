@@ -126,6 +126,22 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
     for (Status& status : statuses) K2_RETURN_NOT_OK(status);
     return Status::OK();
   };
+
+  // The run's FC ledger (cluster/fc_ledger.h). On the pool each slot writes
+  // its own log and reads it plus `sealed`, so the hot path takes no lock;
+  // the logs are merged into `sealed` at the barriers after the shards,
+  // extend-right and extend-left. Validation reads only sealed facts, so
+  // its counters do not depend on the thread count. Without a pool the one
+  // slot writes `sealed` itself.
+  FcLedger sealed;
+  std::vector<FcLedger> logs;
+  if (pool.has_value()) logs.assign(slots, FcLedger(&sealed));
+  auto slot_ledger = [&](size_t slot) {
+    return pool.has_value() ? &logs[slot] : &sealed;
+  };
+  auto seal = [&] {
+    for (FcLedger& log : logs) sealed.Absorb(&log);
+  };
   stats_.phases.Add("plan", sw.ElapsedSeconds());
 
   // --- shards: full per-window pipeline + local DCM merge, concurrently --
@@ -146,7 +162,8 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
             benchmarks.data() + shard.first_window, shard.num_benchmarks());
         K2_RETURN_NOT_OK(MineHopWindows(shard_store, params_,
                                         shard_benchmarks, options_,
-                                        &spanning[i], &run.pipeline));
+                                        &spanning[i], &run.pipeline,
+                                        slot_ledger(slot)));
         // Local DCM merge. The fold starts empty, so deaths are only
         // locally maximal and starts are only locally earliest; the stitch
         // below decides whether that local view is globally valid (nothing
@@ -169,6 +186,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
   for (const ShardRunStats& run : stats_.shard_runs) {
     stats_.spanning_convoys += run.pipeline.spanning_convoys;
   }
+  seal();
   stats_.phases.Add("shards", sw.ElapsedSeconds());
 
   // --- stitch: carry the spanning-convoy fold across the seams ----------
@@ -223,10 +241,12 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
           K2_ASSIGN_OR_RETURN(Store* walk_store, slot_store(slot));
           ConvoyExtensionWalk walk(seeds[i], dir);
           K2_RETURN_NOT_OK(walk.Advance(walk_store, params_, limit,
-                                        &completed[i], &slot_scratch[slot]));
+                                        &completed[i], &slot_scratch[slot],
+                                        slot_ledger(slot)));
           walk.Flush(limit, &completed[i]);
           return Status::OK();
         }));
+    seal();
     MaximalConvoySet results;
     for (std::vector<Convoy>& pieces : completed) {
       for (Convoy& c : pieces) results.Insert(std::move(c));
@@ -254,7 +274,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
       K2_ASSIGN_OR_RETURN(result,
                           ValidateFullyConnected(store_, std::move(merged),
                                                  params_, /*recursive=*/true,
-                                                 &stats_.validation));
+                                                 &stats_.validation, &sealed));
     } else {
       std::vector<std::vector<Convoy>> validated(merged.size());
       std::vector<ValidationStats> validation_stats(merged.size());
@@ -265,7 +285,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
                 validated[i],
                 ValidateFullyConnected(validate_store, {merged[i]}, params_,
                                        /*recursive=*/true,
-                                       &validation_stats[i]));
+                                       &validation_stats[i], &sealed));
             return Status::OK();
           }));
       // Second batch barrier: global maximality over the validated pieces.
@@ -274,10 +294,7 @@ Result<std::vector<Convoy>> PartitionedK2HopMiner::Mine() {
         for (Convoy& c : pieces) out.Insert(std::move(c));
       }
       for (const ValidationStats& vs : validation_stats) {
-        stats_.validation.candidates_in += vs.candidates_in;
-        stats_.validation.fc_accepted += vs.fc_accepted;
-        stats_.validation.split_rounds += vs.split_rounds;
-        stats_.validation.reclusterings += vs.reclusterings;
+        stats_.validation.Accumulate(vs);
       }
       result = out.TakeSorted();
     }

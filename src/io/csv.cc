@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -60,14 +61,34 @@ Status RowParseError(const std::string& path, size_t line_no,
                          "' as a number");
 }
 
+/// A coordinate field: a number that is also finite ("nan" and "inf" parse
+/// as doubles, but no distance is defined on them).
+bool ParseCoordinate(const std::string& field, double* out) {
+  return ParseField(field, out) && std::isfinite(*out);
+}
+
+/// Shortest decimal form that parses back to exactly `v`, so a CSV
+/// round trip is lossless.
+void AppendDouble(double v, std::string* out) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  out->append(buf, ptr);
+}
+
 }  // namespace
 
 Status WriteCsv(const Dataset& dataset, const std::string& path) {
   std::ofstream out(path);
   if (!out) return Status::IOError("cannot create " + path);
   out << "t,oid,x,y\n";
+  std::string row;
   for (const PointRecord& rec : dataset.records()) {
-    out << rec.t << ',' << rec.oid << ',' << rec.x << ',' << rec.y << '\n';
+    row = std::to_string(rec.t) + ',' + std::to_string(rec.oid) + ',';
+    AppendDouble(rec.x, &row);
+    row += ',';
+    AppendDouble(rec.y, &row);
+    row += '\n';
+    out << row;
   }
   out.flush();
   if (!out) return Status::IOError("short write to " + path);
@@ -114,10 +135,10 @@ Result<Dataset> ReadCsv(const std::string& path) {
     if (!ParseField(fields[col_oid], &oid)) {
       return RowParseError(path, line_no, "oid", fields[col_oid]);
     }
-    if (!ParseField(fields[col_x], &x)) {
+    if (!ParseCoordinate(fields[col_x], &x)) {
       return RowParseError(path, line_no, "x", fields[col_x]);
     }
-    if (!ParseField(fields[col_y], &y)) {
+    if (!ParseCoordinate(fields[col_y], &y)) {
       return RowParseError(path, line_no, "y", fields[col_y]);
     }
     builder.Add(t, oid, x, y);
@@ -156,15 +177,17 @@ Result<Dataset> ReadBinary(const std::string& path) {
   }
   // Validate the header count against the actual file size before sizing
   // the read buffer: a truncated or corrupt header would otherwise demand
-  // an arbitrarily large allocation.
+  // an arbitrarily large allocation, and bytes past the counted records
+  // mean the file is not what its header says.
   std::error_code ec;
   const uint64_t file_size = std::filesystem::file_size(path, ec);
   constexpr uint64_t kHeaderBytes = 16;
   if (ec || file_size < kHeaderBytes ||
-      count > (file_size - kHeaderBytes) / sizeof(PointRecord)) {
+      count != (file_size - kHeaderBytes) / sizeof(PointRecord) ||
+      (file_size - kHeaderBytes) % sizeof(PointRecord) != 0) {
     std::fclose(in);
     return Status::Invalid(path + ": header claims " + std::to_string(count) +
-                           " records but the file has only " +
+                           " records but the file has " +
                            std::to_string(file_size) + " bytes");
   }
   std::vector<PointRecord> records(count);
@@ -176,7 +199,14 @@ Result<Dataset> ReadBinary(const std::string& path) {
   std::fclose(in);
   DatasetBuilder builder;
   builder.Reserve(records.size());
-  for (const PointRecord& rec : records) builder.Add(rec);
+  for (const PointRecord& rec : records) {
+    if (!std::isfinite(rec.x) || !std::isfinite(rec.y)) {
+      return Status::Invalid(path + ": record (t=" + std::to_string(rec.t) +
+                             ", oid=" + std::to_string(rec.oid) +
+                             ") has a non-finite coordinate");
+    }
+    builder.Add(rec);
+  }
   return builder.Build();
 }
 

@@ -148,15 +148,16 @@ Result<ProximityLog> ReadProximityBinary(const std::string& path) {
     return Status::Invalid(path + ": not a k2hop binary proximity log");
   }
   // Same header-vs-file-size validation as io/csv.cc: never size a buffer
-  // from an unvalidated header count.
+  // from an unvalidated header count, and no bytes past the records.
   std::error_code ec;
   const uint64_t file_size = std::filesystem::file_size(path, ec);
   constexpr uint64_t kHeaderBytes = 16;
   if (ec || file_size < kHeaderBytes ||
-      count > (file_size - kHeaderBytes) / sizeof(PairRecord)) {
+      count != (file_size - kHeaderBytes) / sizeof(PairRecord) ||
+      (file_size - kHeaderBytes) % sizeof(PairRecord) != 0) {
     std::fclose(in);
     return Status::Invalid(path + ": header claims " + std::to_string(count) +
-                           " records but the file has only " +
+                           " records but the file has " +
                            std::to_string(file_size) + " bytes");
   }
   std::vector<PairRecord> records(count);

@@ -44,14 +44,9 @@ Status GetDeltaMainPoints(BPlusTree* tree, const Dataset& delta,
   out->clear();
   stats->point_queries += objects.size();
   if (TickInDelta(*tree, tree_range, t)) {
-    for (ObjectId oid : objects) {
-      const PointRecord* rec = delta.Find(t, oid);
-      if (rec != nullptr) {
-        out->push_back(SnapshotPoint{oid, rec->x, rec->y});
-        stats->bytes_read += sizeof(PointRecord);
-      }
-    }
-    stats->point_hits += out->size();
+    const size_t hits = GatherPoints(delta.Snapshot(t), objects, out);
+    stats->bytes_read += hits * sizeof(PointRecord);
+    stats->point_hits += hits;
     return Status::OK();
   }
   for (ObjectId oid : objects) {

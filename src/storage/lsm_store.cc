@@ -224,6 +224,15 @@ LsmStore::LsmStore(std::string dir, Options options)
     : dir_(std::move(dir)),
       options_(options),
       env_(options.env != nullptr ? options.env : Env::Default()) {
+  // A tier merges once it holds tier_fanout tables. Below 2 the merged
+  // table alone refills its new tier (1) or even an empty tier merges (0),
+  // so a compaction cascade never ends.
+  if (options_.tier_fanout < 2) {
+    init_status_ = Status::Invalid(
+        "LsmStoreOptions::tier_fanout must be at least 2, got " +
+        std::to_string(options_.tier_fanout));
+    return;
+  }
   init_status_ = Recover();
   if (init_status_.ok() && options_.background_compaction) StartWorker();
 }

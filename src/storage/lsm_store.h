@@ -40,7 +40,8 @@ namespace k2 {
 struct LsmStoreOptions {
   /// Memtable entries before an automatic flush.
   size_t memtable_limit = 128 * 1024;
-  /// Tables per tier before they are merged into the next tier.
+  /// Tables per tier before they are merged into the next tier; at least
+  /// 2 (the constructor rejects smaller values through init_status()).
   size_t tier_fanout = 4;
   /// File-system shim for every write-path IO (WAL, SSTable build,
   /// MANIFEST); nullptr = Env::Default(). The fault-injection tests

@@ -24,20 +24,10 @@ Status GetDatasetPoints(const Dataset& dataset, Timestamp t,
                         const ObjectSet& objects,
                         std::vector<SnapshotPoint>* out, IoStats* stats) {
   out->clear();
-  auto snap = dataset.Snapshot(t);
   stats->point_queries += objects.size();
-  if (snap.empty()) return Status::OK();
-  // Merge over the sorted snapshot and the sorted object set.
-  auto it = snap.begin();
-  for (ObjectId oid : objects) {
-    while (it != snap.end() && it->oid < oid) ++it;
-    if (it == snap.end()) break;
-    if (it->oid == oid) {
-      out->push_back(SnapshotPoint{it->oid, it->x, it->y});
-      stats->bytes_read += sizeof(PointRecord);
-    }
-  }
-  stats->point_hits += out->size();
+  const size_t hits = GatherPoints(dataset.Snapshot(t), objects, out);
+  stats->bytes_read += hits * sizeof(PointRecord);
+  stats->point_hits += hits;
   return Status::OK();
 }
 

@@ -1,5 +1,6 @@
 #include "storage/store.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
@@ -56,6 +57,21 @@ double PruningRatio(const IoStats& io, uint64_t total_points) {
   return processed >= static_cast<double>(total_points)
              ? 0.0
              : 1.0 - processed / static_cast<double>(total_points);
+}
+
+size_t GatherPoints(std::span<const PointRecord> rows,
+                    const ObjectSet& objects,
+                    std::vector<SnapshotPoint>* out) {
+  const size_t before = out->size();
+  auto it = rows.begin();
+  for (ObjectId oid : objects) {
+    it = std::lower_bound(
+        it, rows.end(), oid,
+        [](const PointRecord& r, ObjectId o) { return r.oid < o; });
+    if (it == rows.end()) break;
+    if (it->oid == oid) out->push_back(SnapshotPoint{oid, it->x, it->y});
+  }
+  return out->size() - before;
 }
 
 Status Store::Append(Timestamp t, const std::vector<SnapshotPoint>& points) {

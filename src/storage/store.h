@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -62,6 +63,16 @@ struct IoStats {
 /// Table-5 pruning %. Shared by every miner's stats type so batch, online,
 /// and partitioned pruning numbers stay defined identically.
 double PruningRatio(const IoStats& io, uint64_t total_points);
+
+/// Appends to `*out`, in oid order, the rows of one tick (`rows`, sorted
+/// by oid) whose oid is in `objects`, and returns how many it appended.
+/// Each oid is a binary search from the previous one's position, so a few
+/// objects cost O(|objects| log |rows|), not a walk over the whole tick.
+/// The in-memory point-read path of the memory, file and B+-tree engines;
+/// each charges its own IoStats.
+size_t GatherPoints(std::span<const PointRecord> rows,
+                    const ObjectSet& objects,
+                    std::vector<SnapshotPoint>* out);
 
 /// Abstract trajectory store keyed by the composite clustered key (t, oid).
 ///

@@ -1,4 +1,5 @@
 // CSV / binary dataset interchange tests.
+#include <cmath>
 #include <fstream>
 
 #include <gtest/gtest.h>
@@ -186,6 +187,35 @@ TEST(CsvTest, NegativeObjectIdIsError) {
       << ds.status().message();
 }
 
+TEST(CsvTest, RoundTripIsExactForEveryDouble) {
+  // Regression input of the reader fuzzer: WriteCsv printed 6 significant
+  // digits, so 0.1 + 0.2 came back as 0.3 and 123.456789 as 123.457.
+  const Dataset ds = MakeDataset({{0, 1, 0.1 + 0.2, 123.456789},
+                                  {0, 2, 1e-300, -1.7976931348623157e308},
+                                  {1, 1, -0.0, 4.9e-324}});
+  const std::string path = ScratchDir("csv_exact") + "/data.csv";
+  ASSERT_TRUE(WriteCsv(ds, path).ok());
+  auto back = ReadCsv(path);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_EQ(back.value().records(), ds.records());
+}
+
+TEST(CsvTest, NonFiniteCoordinateIsError) {
+  // Regression inputs of the reader fuzzer: from_chars parses "nan" and
+  // "inf", and a non-finite coordinate has no distance to anything.
+  for (const char* row : {"1,2,nan,4.0", "1,2,3.0,-inf", "1,2,infinity,0"}) {
+    SCOPED_TRACE(row);
+    const std::string path = ScratchDir("csv_nonfinite") + "/data.csv";
+    {
+      std::ofstream out(path);
+      out << "t,oid,x,y\n" << row << "\n";
+    }
+    auto ds = ReadCsv(path);
+    ASSERT_FALSE(ds.ok());
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalid);
+  }
+}
+
 TEST(CsvTest, MissingFileIsIOError) {
   auto ds = ReadCsv("/nonexistent/nowhere.csv");
   ASSERT_FALSE(ds.ok());
@@ -236,6 +266,42 @@ TEST(BinaryTest, RejectsHeaderCountLargerThanFile) {
   auto ds = ReadBinary(path);
   ASSERT_FALSE(ds.ok());
   EXPECT_EQ(ds.status().code(), StatusCode::kInvalid);
+}
+
+TEST(BinaryTest, RejectsNonFiniteCoordinate) {
+  // Regression input of the reader fuzzer: a forged x word of +inf.
+  const std::string path = ScratchDir("bin_inf") + "/inf.bin";
+  {
+    const uint64_t magic = 0x6b32686f70646174ULL;
+    const uint64_t count = 2;
+    const PointRecord recs[] = {{1, 2, 3.0, 4.0}, {1, 3, HUGE_VAL, 4.0}};
+    std::ofstream out(path, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(&magic), 8);
+    out.write(reinterpret_cast<const char*>(&count), 8);
+    out.write(reinterpret_cast<const char*>(recs), sizeof(recs));
+  }
+  auto ds = ReadBinary(path);
+  ASSERT_FALSE(ds.ok());
+  EXPECT_EQ(ds.status().code(), StatusCode::kInvalid);
+}
+
+TEST(BinaryTest, RejectsBytesPastTheCountedRecords) {
+  // Regression input of the reader fuzzer: extended files decoded to their
+  // first `count` records without an error.
+  RandomWalkSpec spec;
+  spec.seed = 5;
+  const std::string path = ScratchDir("bin_trailing") + "/data.bin";
+  ASSERT_TRUE(WriteBinary(GenerateRandomWalk(spec), path).ok());
+  ASSERT_TRUE(ReadBinary(path).ok());
+  for (size_t extra : {size_t{1}, sizeof(PointRecord)}) {
+    {
+      std::ofstream out(path, std::ios::binary | std::ios::app);
+      out << std::string(extra, '\0');
+    }
+    auto ds = ReadBinary(path);
+    ASSERT_FALSE(ds.ok()) << extra;
+    EXPECT_EQ(ds.status().code(), StatusCode::kInvalid);
+  }
 }
 
 TEST(BinaryTest, RejectsTruncatedPayload) {

@@ -464,20 +464,26 @@ void ExpectSameIo(const IoStats& a, const IoStats& b) {
   EXPECT_EQ(a.sstables_touched, b.sstables_touched);
 }
 
-/// Algorithm 1 spelled out through the public phase functions.
+/// Algorithm 1 spelled out through the public phase functions, with one FC
+/// ledger threaded through every phase as the driver does.
 std::vector<Convoy> ComposePhases(Store* store, const MiningParams& params) {
   const TimeRange range = store->time_range();
   const std::vector<Timestamp> benchmarks = BenchmarkPoints(range, params.k);
+  FcLedger ledger;
   std::vector<std::vector<ObjectSet>> spanning;
-  K2_CHECK_OK(MineHopWindows(store, params, benchmarks, {}, &spanning));
+  K2_CHECK_OK(MineHopWindows(store, params, benchmarks, {}, &spanning,
+                             /*stats=*/nullptr, &ledger));
   std::vector<Convoy> merged =
       MergeSpanningConvoys(spanning, benchmarks, params.m);
-  auto right = ExtendRight(store, params, std::move(merged), range.end);
+  auto right =
+      ExtendRight(store, params, std::move(merged), range.end, &ledger);
   K2_CHECK_OK(right.status());
-  auto left = ExtendLeft(store, params, right.MoveValue(), range.start);
+  auto left =
+      ExtendLeft(store, params, right.MoveValue(), range.start, &ledger);
   K2_CHECK_OK(left.status());
   auto validated = ValidateFullyConnected(
-      store, FilterMinLength(left.MoveValue(), params.k), params);
+      store, FilterMinLength(left.MoveValue(), params.k), params,
+      /*recursive=*/true, /*stats=*/nullptr, &ledger);
   K2_CHECK_OK(validated.status());
   return validated.MoveValue();
 }
@@ -521,6 +527,69 @@ TEST(K2HopTest, OneThreadIsTheSequentialPhaseComposition) {
     EXPECT_EQ(mined.value(), composed);
     ExpectSameIo(stats.io, composed_io);
     EXPECT_GT(composed_io.points_read(), 0u);
+  }
+}
+
+RandomWalkSpec LedgerWalkSpec(uint64_t seed) {
+  RandomWalkSpec spec;
+  spec.num_objects = 24;
+  spec.num_ticks = 40;
+  spec.area = 24.0;
+  spec.step = 3.0;
+  spec.seed = seed;
+  return spec;
+}
+
+TEST(K2HopTest, LedgerValidationMatchesLedgerFreeValidation) {
+  // The driver's validation reads the run's FC ledger; validating the same
+  // pre-validation convoys without one must give the same convoys with
+  // exactly `proven_ticks` more reclusterings: the ledger answers probes,
+  // it never adds or removes one.
+  for (uint64_t seed : {7u, 19u, 42u}) {
+    SCOPED_TRACE(seed);
+    auto store = MakeMemStore(GenerateRandomWalk(LedgerWalkSpec(seed)));
+    const MiningParams params{3, 6, 7.0};
+    K2HopOptions options;
+    options.num_threads = 1;
+    K2HopStats stats;
+    auto mined = MineK2Hop(store.get(), params, options, &stats);
+    ASSERT_TRUE(mined.ok());
+    ASSERT_FALSE(mined.value().empty()) << "weak test input";
+
+    options.validate = false;
+    auto candidates = MineK2Hop(store.get(), params, options);
+    ASSERT_TRUE(candidates.ok());
+    ValidationStats free_stats;
+    auto ledger_free = ValidateFullyConnected(
+        store.get(), candidates.MoveValue(), params, true, &free_stats);
+    ASSERT_TRUE(ledger_free.ok());
+    EXPECT_EQ(mined.value(), ledger_free.value());
+    EXPECT_GT(stats.validation.proven_ticks, 0u);
+    EXPECT_LT(stats.validation.reclusterings, free_stats.reclusterings);
+    EXPECT_EQ(free_stats.proven_ticks, 0u);
+    EXPECT_EQ(stats.validation.reclusterings + stats.validation.proven_ticks,
+              free_stats.reclusterings);
+  }
+}
+
+TEST(K2HopTest, ValidationCountersDoNotDependOnThreadCount) {
+  // Validation reads only the sealed ledger, whose facts are the same set
+  // whatever slot wrote them, so its counters repeat at every pool size.
+  auto store = MakeMemStore(GenerateRandomWalk(LedgerWalkSpec(19)));
+  const MiningParams params{3, 6, 7.0};
+  std::vector<ValidationStats> runs;
+  for (int threads : {2, 4, 8}) {
+    K2HopOptions options;
+    options.num_threads = threads;
+    K2HopStats stats;
+    ASSERT_TRUE(MineK2Hop(store.get(), params, options, &stats).ok());
+    runs.push_back(stats.validation);
+  }
+  EXPECT_GT(runs[0].proven_ticks, 0u);
+  for (const ValidationStats& vs : runs) {
+    EXPECT_EQ(vs.reclusterings, runs[0].reclusterings);
+    EXPECT_EQ(vs.proven_ticks, runs[0].proven_ticks);
+    EXPECT_EQ(vs.split_rounds, runs[0].split_rounds);
   }
 }
 

@@ -326,6 +326,47 @@ TEST(LsmStoreTest, CompactionMergesTiers) {
   }
 }
 
+TEST(LsmStoreTest, TierFanoutBelowTwoIsRejectedAtOpen) {
+  // With 1 every merged table refills its new tier and with 0 even empty
+  // tiers merge, so neither cascade would end: both fail cleanly instead.
+  for (size_t fanout : {size_t{0}, size_t{1}}) {
+    LsmStore::Options options;
+    options.tier_fanout = fanout;
+    LsmStore store(ScratchDir("lsm_fanout_" + std::to_string(fanout)),
+                   options);
+    EXPECT_EQ(store.init_status().code(), StatusCode::kInvalid)
+        << store.init_status().ToString();
+    EXPECT_NE(store.init_status().ToString().find("tier_fanout"),
+              std::string::npos);
+    EXPECT_EQ(store.Put(0, 1, 0.0, 0.0).code(), StatusCode::kInvalid);
+    EXPECT_EQ(store.BulkLoad(DatasetBuilder().Build()).code(),
+              StatusCode::kInvalid);
+    EXPECT_EQ(store.Flush().code(), StatusCode::kInvalid);
+    std::vector<SnapshotPoint> out;
+    EXPECT_EQ(store.ScanTimestamp(0, &out).code(), StatusCode::kInvalid);
+  }
+}
+
+TEST(LsmStoreTest, TierFanoutTwoCompactsEveryPairOfTables) {
+  LsmStore::Options options;
+  options.memtable_limit = 16;
+  options.tier_fanout = 2;
+  options.background_compaction = false;
+  LsmStore store(ScratchDir("lsm_fanout_2"), options);
+  ASSERT_TRUE(store.init_status().ok());
+  for (Timestamp t = 0; t < 64; ++t) {
+    for (ObjectId o = 0; o < 4; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+  }
+  ASSERT_TRUE(store.Flush().ok());
+  EXPECT_GT(store.compactions_run(), 0u);
+  EXPECT_LE(store.num_sstables(), 8u);  // at most one table per tier
+  std::vector<SnapshotPoint> out;
+  for (Timestamp t = 0; t < 64; ++t) {
+    ASSERT_TRUE(store.ScanTimestamp(t, &out).ok());
+    ASSERT_EQ(out.size(), 4u) << "tick " << t;
+  }
+}
+
 // Regression test for a guard-aliasing hazard the thread-safety annotation
 // pass flushed out (runs under the sanitize-tsan CI job): the background
 // worker once handed SSTable::Open a live pointer into the mu_-guarded

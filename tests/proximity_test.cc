@@ -201,6 +201,19 @@ TEST(ProximityIoTest, BinaryRejectsWrongMagicAndLyingHeader) {
   auto r = ReadProximityBinary(lying);
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInvalid);
+
+  // Bytes past the counted records (a reader-fuzzer regression input).
+  const std::string extended = dir + "/extended.bin";
+  ASSERT_TRUE(
+      WriteProximityBinary(ProximityLog::FromRecords({{0, 1, 2}}), extended)
+          .ok());
+  {
+    std::ofstream out(extended, std::ios::binary | std::ios::app);
+    out << std::string(sizeof(PairRecord), '\0');
+  }
+  r = ReadProximityBinary(extended);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalid);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <fstream>
 
+#include "common/rng.h"
 #include "gen/synthetic.h"
 #include "storage/file_store.h"
 #include "storage/lsm_store.h"
@@ -256,6 +257,70 @@ TEST_P(StoreConformanceTest, AppendAfterBulkLoadExtendsTheStore) {
   ASSERT_TRUE(store->ScanTimestamp(1, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].x, 2.0);
+}
+
+TEST_P(StoreConformanceTest, GetPointsMatchesFindOracleOnSeededProbes) {
+  // Sparse data: objects skip ticks, whole ticks are empty, and the second
+  // half arrives through Append (the B+-tree engine's in-memory delta).
+  // Every point read must return exactly the rows Dataset::Find sees:
+  // absent oids, the first and last oid, empty sets and empty ticks.
+  constexpr ObjectId kObjects = 40;
+  constexpr Timestamp kTicks = 30;
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE(seed);
+    Rng rng(seed);
+    DatasetBuilder builder;
+    for (Timestamp t = 0; t < kTicks; ++t) {
+      if (rng.NextInt(5) == 0) continue;  // a tick with no data
+      for (ObjectId oid = 0; oid < kObjects; ++oid) {
+        if (rng.NextInt(3) == 0) continue;  // absent at this tick
+        builder.Add(t, oid * 2 + 1, rng.Uniform(0, 100), rng.Uniform(0, 100));
+      }
+    }
+    const Dataset data = builder.Build();
+    const auto bulk_end = static_cast<Timestamp>(kTicks / 2);
+    DatasetBuilder first_half;
+    for (const PointRecord& r : data.records()) {
+      if (r.t < bulk_end) first_half.Add(r);
+    }
+    auto store = Make("find_oracle_" + std::to_string(seed));
+    ASSERT_TRUE(store->BulkLoad(first_half.Build()).ok());
+    for (Timestamp t : data.timestamps()) {
+      if (t < bulk_end) continue;
+      ASSERT_TRUE(store->Append(t, SnapshotPoints(data, t)).ok());
+    }
+
+    std::vector<SnapshotPoint> got;
+    for (int probe = 0; probe < 300; ++probe) {
+      const auto t = static_cast<Timestamp>(rng.UniformInt(-2, kTicks + 1));
+      std::vector<ObjectId> ids;
+      switch (rng.NextInt(4)) {
+        case 0:  // empty set
+          break;
+        case 1:  // the first and the last oid
+          ids = {1, kObjects * 2 - 1};
+          break;
+        default:  // random, with absent (even and out-of-range) oids
+          for (uint64_t i = rng.NextInt(12); i > 0; --i) {
+            ids.push_back(
+                static_cast<ObjectId>(rng.NextInt(kObjects * 2 + 4)));
+          }
+      }
+      const ObjectSet objects(ids);
+      std::vector<SnapshotPoint> want;
+      for (ObjectId oid : objects) {
+        if (const PointRecord* r = data.Find(t, oid)) {
+          want.push_back(SnapshotPoint{oid, r->x, r->y});
+        }
+      }
+      const IoStats before = store->io_stats();
+      ASSERT_TRUE(store->GetPoints(t, objects, &got).ok());
+      ASSERT_EQ(got, want) << "t=" << t << " objects=" << objects.DebugString();
+      const IoStats io = IoStats::Delta(store->io_stats(), before);
+      EXPECT_EQ(io.point_queries, objects.size());
+      EXPECT_EQ(io.point_hits, want.size());
+    }
+  }
 }
 
 TEST_P(StoreConformanceTest, AppendValidatesItsPreconditions) {

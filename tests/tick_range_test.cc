@@ -48,11 +48,11 @@ std::vector<Convoy> Shifted(const std::vector<Convoy>& convoys,
 }
 
 std::vector<Convoy> Batch(const Dataset& data, const MiningParams& params,
-                          int num_threads) {
+                          int num_threads, K2HopStats* stats = nullptr) {
   auto store = MakeMemStore(data);
   K2HopOptions options;
   options.num_threads = num_threads;
-  auto result = MineK2Hop(store.get(), params, options);
+  auto result = MineK2Hop(store.get(), params, options, stats);
   K2_CHECK_OK(result.status());
   return result.MoveValue();
 }
@@ -83,7 +83,9 @@ class TickRangeTest : public ::testing::TestWithParam<uint64_t> {
   /// Mines dense random walks (chance convoys that split, merge, and touch
   /// both ends of the data, so walks run into the dataset boundary) at
   /// ticks [0, kTicks) and again moved by `offset`; every miner and the
-  /// gold oracle must return the tick-0 convoys moved alike.
+  /// gold oracle must return the tick-0 convoys moved alike. Validation
+  /// must read FC-ledger facts there too: their tick runs reach both ends
+  /// of int32.
   void ExpectShiftInvariant(int64_t offset) const {
     RandomWalkSpec spec;
     spec.num_objects = 12;
@@ -99,8 +101,11 @@ class TickRangeTest : public ::testing::TestWithParam<uint64_t> {
     const Dataset moved = Shifted(data, offset);
     const std::vector<Convoy> expected = Shifted(reference, offset);
     EXPECT_SAME_CONVOYS(GoldFullyConnectedConvoys(moved, params), expected);
-    EXPECT_EQ(Batch(moved, params, 1), expected) << Str(expected);
-    EXPECT_EQ(Batch(moved, params, 4), expected);
+    K2HopStats stats;
+    EXPECT_EQ(Batch(moved, params, 1, &stats), expected) << Str(expected);
+    EXPECT_GT(stats.validation.proven_ticks, 0u);
+    EXPECT_EQ(Batch(moved, params, 4, &stats), expected);
+    EXPECT_GT(stats.validation.proven_ticks, 0u);
     EXPECT_EQ(Sharded(moved, params), expected);
     EXPECT_EQ(Online(moved, params), expected);
   }

@@ -1,11 +1,16 @@
 // Validation (Algorithm 4 / HWMT*): binary subdivision order, FC acceptance,
 // recursive splitting, and the one-pass DCVal bug the paper corrects.
 #include <algorithm>
+#include <limits>
 
 #include <gtest/gtest.h>
 
 #include "baselines/gold.h"
 #include "baselines/validation.h"
+#include "cluster/fc_ledger.h"
+#include "cluster/store_clustering.h"
+#include "common/rng.h"
+#include "gen/synthetic.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -118,6 +123,43 @@ TEST_F(BridgeScenario, RecursiveValidationSplitsToTrueFcConvoys) {
   EXPECT_TRUE(found_abc);
 }
 
+/// Records every tick of `v`'s lifespan at which its objects re-cluster to
+/// exactly themselves: an honest ledger writer.
+void RecordTrueFacts(Store* store, const Convoy& v, const MiningParams& params,
+                     FcLedger* ledger) {
+  for (Timestamp t = v.start; t <= v.end; ++t) {
+    auto clusters = ReCluster(store, t, v.objects, params);
+    K2_CHECK_OK(clusters.status());
+    if (clusters.value() == std::vector<ObjectSet>{v.objects}) {
+      ledger->Record(v.objects, t);
+    }
+  }
+}
+
+TEST_F(BridgeScenario, LedgerKeepsTheSplitPathExact) {
+  // The candidate is FC at every tick but 2, so the ledger proves five of
+  // its six probes; the sweep then reuses those answers and the pieces'
+  // own probes run as before. Output and total probe count are unchanged.
+  auto store = MakeStore();
+  const Convoy candidate = C({0, 1, 2, 3}, 0, 5);
+  FcLedger ledger;
+  RecordTrueFacts(store.get(), candidate, params_, &ledger);
+  EXPECT_EQ(ledger.num_facts(), 5u);
+
+  ValidationStats free_stats, ledger_stats;
+  auto free_out = ValidateFullyConnected(store.get(), {candidate}, params_,
+                                         true, &free_stats);
+  auto ledger_out = ValidateFullyConnected(store.get(), {candidate}, params_,
+                                           true, &ledger_stats, &ledger);
+  ASSERT_TRUE(free_out.ok() && ledger_out.ok());
+  EXPECT_EQ(ledger_out.value(), free_out.value());
+  EXPECT_GT(ledger_stats.split_rounds, 0u);
+  EXPECT_EQ(ledger_stats.split_rounds, free_stats.split_rounds);
+  EXPECT_EQ(ledger_stats.proven_ticks, 5u);
+  EXPECT_EQ(ledger_stats.reclusterings + ledger_stats.proven_ticks,
+            free_stats.reclusterings);
+}
+
 TEST_F(BridgeScenario, OnePassDcvalEmitsUnvalidatedSplits) {
   // One-pass DCVal (VCoDA) emits split pieces without re-validating them.
   // Construction: a and c are never within eps of each other, but are
@@ -159,6 +201,116 @@ TEST_F(BridgeScenario, OnePassDcvalEmitsUnvalidatedSplits) {
     if (!in_gold) emitted_non_fc = true;
   }
   EXPECT_TRUE(emitted_non_fc);
+}
+
+TEST(ValidationTest, LedgerGivesTheSameOutputOnSeededCandidates) {
+  // Candidates are real clusters of a random tick given random lifespans,
+  // so some are FC, some split and some die; the ledger holds true facts
+  // for a random half of them, plus facts about their supersets.
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+    SCOPED_TRACE(seed);
+    RandomWalkSpec spec;
+    spec.num_objects = 20;
+    spec.num_ticks = 30;
+    spec.area = 20.0;
+    spec.step = 2.0;
+    spec.seed = seed;
+    auto store = MakeMemStore(GenerateRandomWalk(spec));
+    const MiningParams params{2, 3, 4.0};
+    Rng rng(seed);
+    std::vector<Convoy> candidates;
+    FcLedger ledger;
+    for (int i = 0; i < 12; ++i) {
+      const auto t = static_cast<Timestamp>(rng.UniformInt(0, 29));
+      auto clusters = ClusterSnapshot(store.get(), t, params);
+      ASSERT_TRUE(clusters.ok());
+      for (const ObjectSet& cluster : clusters.value()) {
+        const auto start = static_cast<Timestamp>(rng.UniformInt(0, t));
+        const auto end = static_cast<Timestamp>(rng.UniformInt(t, 29));
+        candidates.emplace_back(cluster, start, end);
+        if (rng.NextInt(2) == 0) {
+          RecordTrueFacts(store.get(), candidates.back(), params, &ledger);
+        }
+      }
+    }
+    ASSERT_FALSE(candidates.empty());
+
+    ValidationStats free_stats, ledger_stats;
+    auto free_out = ValidateFullyConnected(store.get(), candidates, params,
+                                           true, &free_stats);
+    auto ledger_out = ValidateFullyConnected(store.get(), candidates, params,
+                                             true, &ledger_stats, &ledger);
+    ASSERT_TRUE(free_out.ok() && ledger_out.ok());
+    EXPECT_EQ(ledger_out.value(), free_out.value());
+    EXPECT_GT(ledger_stats.proven_ticks, 0u);
+    EXPECT_EQ(ledger_stats.reclusterings + ledger_stats.proven_ticks,
+              free_stats.reclusterings);
+    EXPECT_EQ(ledger_stats.fc_accepted, free_stats.fc_accepted);
+  }
+}
+
+TEST(ValidationTest, LedgerIsReadOnlyAtTheExactSetAndTick) {
+  // The ledger is trusted, so a forged fact shows exactly where it is
+  // read: facts about a superset of O, a subset of O, or O at a tick
+  // outside the lifespan are never consulted, while a (forged) fact about
+  // exactly (O, t) is taken as proof and hides the split at t.
+  auto store = MakeMemStore(MakeTracks({
+      {0, 0, 0, 0, 0},
+      {0.5, 0.5, 9.0, 0.5, 0.5},  // leaves the group at tick 2
+      {1.0, 1.0, 1.0, 1.0, 1.0},
+      {1.4, 1.4, 1.4, 1.4, 1.4},
+  }));
+  const MiningParams params{2, 5, 0.6};
+  const Convoy candidate = C({0, 1, 2}, 0, 4);
+  FcLedger ledger;
+  for (Timestamp t = 0; t <= 4; ++t) {
+    ledger.Record(ObjectSet::Of({0, 1, 2, 3}), t);
+    ledger.Record(ObjectSet::Of({0, 2}), t);
+  }
+  ledger.Record(candidate.objects, -1);
+  ledger.Record(candidate.objects, 5);
+
+  ValidationStats stats;
+  auto out = ValidateFullyConnected(store.get(), {candidate}, params, true,
+                                    &stats, &ledger);
+  ASSERT_TRUE(out.ok());
+  EXPECT_TRUE(out.value().empty());  // {0,1,2} splits at tick 2
+  EXPECT_EQ(stats.proven_ticks, 0u);
+
+  ledger.Record(candidate.objects, 2);
+  stats = ValidationStats();
+  out = ValidateFullyConnected(store.get(), {candidate}, params, true, &stats,
+                               &ledger);
+  ASSERT_TRUE(out.ok());
+  EXPECT_EQ(out.value(), std::vector<Convoy>{candidate});
+  EXPECT_EQ(stats.proven_ticks, 1u);
+}
+
+TEST(FcLedgerTest, LogsReadTheirSealedParentAndAbsorbIntoIt) {
+  constexpr Timestamp kLo = std::numeric_limits<Timestamp>::min();
+  constexpr Timestamp kHi = std::numeric_limits<Timestamp>::max();
+  const ObjectSet a = ObjectSet::Of({1, 2});
+  const ObjectSet b = ObjectSet::Of({1, 2, 3});
+  FcLedger sealed;
+  sealed.Record(a, kLo);
+  FcLedger log(&sealed);
+  log.Record(b, kHi);
+  log.Record(a, 0);
+  EXPECT_TRUE(log.Proven(a, kLo));  // through the parent
+  EXPECT_TRUE(log.Proven(b, kHi));
+  EXPECT_FALSE(sealed.Proven(b, kHi));  // the parent is never written
+  EXPECT_FALSE(log.Proven(a, kHi));
+  EXPECT_FALSE(log.Proven(b, kLo));
+  EXPECT_FALSE(log.Proven(a, -1));
+
+  sealed.Absorb(&log);
+  EXPECT_EQ(log.num_facts(), 0u);
+  EXPECT_EQ(sealed.num_facts(), 3u);
+  EXPECT_TRUE(sealed.Proven(a, kLo));
+  EXPECT_TRUE(sealed.Proven(a, 0));
+  EXPECT_TRUE(sealed.Proven(b, kHi));
+  EXPECT_FALSE(sealed.Proven(b, kHi - 1));
+  EXPECT_TRUE(log.Proven(b, kHi));  // the emptied log still reads the parent
 }
 
 TEST(ValidationTest, DuplicateCandidatesProcessedOnce) {
