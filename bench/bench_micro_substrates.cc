@@ -1,6 +1,6 @@
 // Google-benchmark microbenchmarks of the substrates: DBSCAN, ObjectSet
-// intersection, B+-tree point reads / range scans, LSM point reads, skip
-// list inserts. These are not paper figures; they size the building blocks.
+// intersection, B+-tree point reads / range scans, LSM point reads, memtable
+// appends. These are not paper figures; they size the building blocks.
 #include <benchmark/benchmark.h>
 
 #include "cluster/dbscan.h"
@@ -9,7 +9,7 @@
 #include "gen/synthetic.h"
 #include "storage/bptree_store.h"
 #include "storage/key.h"
-#include "storage/lsm/skiplist.h"
+#include "storage/lsm/memtable.h"
 #include "storage/lsm_store.h"
 
 namespace k2 {
@@ -107,19 +107,21 @@ void BM_LsmGet(benchmark::State& state) {
 }
 BENCHMARK(BM_LsmGet);
 
-void BM_SkipListInsert(benchmark::State& state) {
-  Rng rng(6);
+void BM_MemtableAppend(benchmark::State& state) {
   for (auto _ : state) {
     state.PauseTiming();
-    lsm::SkipList list;
+    lsm::Memtable memtable;
     state.ResumeTiming();
     for (int i = 0; i < state.range(0); ++i) {
-      list.Put(rng.Next(), lsm::LsmValue{1.0, 2.0});
+      // Ticks of 64 objects, appended in (t, oid) order as Append writes.
+      K2_CHECK(memtable.Append(MakeKey(i / 64, static_cast<ObjectId>(i % 64)),
+                               lsm::LsmValue{1.0, 2.0}));
     }
+    benchmark::DoNotOptimize(memtable.size());
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_SkipListInsert)->Arg(1024)->Arg(16384);
+BENCHMARK(BM_MemtableAppend)->Arg(1024)->Arg(16384);
 
 }  // namespace
 }  // namespace k2

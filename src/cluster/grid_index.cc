@@ -25,37 +25,42 @@ void GridIndex::Build(std::span<const SnapshotPoint> points,
     return;
   }
 
+  double min_x = points[0].x, min_y = points[0].y;
   double max_x = points[0].x, max_y = points[0].y;
-  min_x_ = points[0].x;
-  min_y_ = points[0].y;
   for (size_t i = 0; i < n; ++i) {
     px_[i] = points[i].x;
     py_[i] = points[i].y;
-    min_x_ = std::min(min_x_, points[i].x);
-    min_y_ = std::min(min_y_, points[i].y);
+    min_x = std::min(min_x, points[i].x);
+    min_y = std::min(min_y, points[i].y);
     max_x = std::max(max_x, points[i].x);
     max_y = std::max(max_y, points[i].y);
   }
+  half_min_x_ = min_x * 0.5;
+  half_min_y_ = min_y * 0.5;
 
   // Grow the cell side until the bounding-box grid is at most ~4n cells, so
   // index memory stays linear in the snapshot for arbitrarily small eps.
   // Queries stay correct: the 3x3 block covers eps for any cell >= eps.
+  // Spans and cells are taken at half scale (see CellCoord), so a box
+  // wider than DBL_MAX still gets finite cells.
+  const double half_w = max_x * 0.5 - half_min_x_;
+  const double half_h = max_y * 0.5 - half_min_y_;
   const double max_cells =
       static_cast<double>(std::max<size_t>(64, 4 * n));
-  double cell = cell_size;
-  while ((std::floor((max_x - min_x_) / cell) + 1.0) *
-             (std::floor((max_y - min_y_) / cell) + 1.0) >
+  double half_cell = cell_size * 0.5;
+  while ((std::floor(half_w / half_cell) + 1.0) *
+             (std::floor(half_h / half_cell) + 1.0) >
          max_cells) {
-    cell *= 2.0;
+    half_cell *= 2.0;
   }
-  inv_cell_ = 1.0 / cell;
-  nx_ = static_cast<int64_t>(std::floor((max_x - min_x_) * inv_cell_)) + 1;
-  ny_ = static_cast<int64_t>(std::floor((max_y - min_y_) * inv_cell_)) + 1;
+  inv_half_cell_ = 1.0 / half_cell;
+  nx_ = static_cast<int64_t>(std::floor(half_w * inv_half_cell_)) + 1;
+  ny_ = static_cast<int64_t>(std::floor(half_h * inv_half_cell_)) + 1;
 
   const size_t num_cells = static_cast<size_t>(nx_ * ny_);
   for (size_t i = 0; i < n; ++i) {
     // Clamp against the rounding edge case where max_x lands one past the
-    // last column under multiplication by inv_cell_.
+    // last column under multiplication by inv_half_cell_.
     const int64_t cx = std::min(CellX(px_[i]), nx_ - 1);
     const int64_t cy = std::min(CellY(py_[i]), ny_ - 1);
     cell_of_[i] = static_cast<uint32_t>(cy * nx_ + cx);
@@ -92,8 +97,8 @@ void GridIndex::NeighborsOf(double x, double y, double eps,
   if (px_.empty()) return;
   // Compute the 3x1 column range and 1x3 row range around the query cell in
   // floating point first: a far-away query must not overflow the int64 cast.
-  const double fcx = std::floor((x - min_x_) * inv_cell_);
-  const double fcy = std::floor((y - min_y_) * inv_cell_);
+  const double fcx = CellCoord(x, half_min_x_);
+  const double fcy = CellCoord(y, half_min_y_);
   if (fcx < -1.0 || fcx > static_cast<double>(nx_) ||
       fcy < -1.0 || fcy > static_cast<double>(ny_)) {
     return;
@@ -144,10 +149,10 @@ void GridIndex::Region(const Rect& rect, std::vector<uint32_t>* out) const {
   if (px_.empty() || rect.empty()) return;
   // Cell ranges in floating point first, like NeighborsOf: a far-away rect
   // must not overflow the int64 cast.
-  const double fx0 = std::floor((rect.min_x - min_x_) * inv_cell_);
-  const double fx1 = std::floor((rect.max_x - min_x_) * inv_cell_);
-  const double fy0 = std::floor((rect.min_y - min_y_) * inv_cell_);
-  const double fy1 = std::floor((rect.max_y - min_y_) * inv_cell_);
+  const double fx0 = CellCoord(rect.min_x, half_min_x_);
+  const double fx1 = CellCoord(rect.max_x, half_min_x_);
+  const double fy0 = CellCoord(rect.min_y, half_min_y_);
+  const double fy1 = CellCoord(rect.max_y, half_min_y_);
   if (fx1 < 0.0 || fy1 < 0.0 || fx0 >= static_cast<double>(nx_) ||
       fy0 >= static_cast<double>(ny_)) {
     return;

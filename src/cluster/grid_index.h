@@ -80,18 +80,28 @@ class GridIndex {
   size_t num_cells() const { return num_occupied_cells_; }
 
  private:
+  // Cell coordinate of `v` on an axis whose minimum is 2 * `half_min`, in
+  // floating point so that a far-away query cannot overflow a cast. Every
+  // offset is taken at half scale, v/2 - min/2, which stays finite for any
+  // finite coordinates (v - min overflows once points span more than
+  // DBL_MAX); halving is exact, so for any smaller span the cell equals
+  // floor((v - min) / cell).
+  double CellCoord(double v, double half_min) const {
+    return std::floor((v * 0.5 - half_min) * inv_half_cell_);
+  }
   int64_t CellX(double x) const {
-    return static_cast<int64_t>(std::floor((x - min_x_) * inv_cell_));
+    return static_cast<int64_t>(CellCoord(x, half_min_x_));
   }
   int64_t CellY(double y) const {
-    return static_cast<int64_t>(std::floor((y - min_y_) * inv_cell_));
+    return static_cast<int64_t>(CellCoord(y, half_min_y_));
   }
 
-  // Grid geometry. inv_cell_ = 1 / effective cell size. requested_cell_ is
-  // the cell size the caller asked Build() for (the effective size only
-  // grows above it), kept to debug-CHECK the eps query contract.
-  double min_x_ = 0.0, min_y_ = 0.0;
-  double inv_cell_ = 0.0;
+  // Grid geometry: half the bounding box's minimum corner, and
+  // inv_half_cell_ = 2 / effective cell size. requested_cell_ is the cell
+  // size the caller asked Build() for (the effective size only grows above
+  // it), kept to debug-CHECK the eps query contract.
+  double half_min_x_ = 0.0, half_min_y_ = 0.0;
+  double inv_half_cell_ = 0.0;
   double requested_cell_ = 0.0;
   int64_t nx_ = 0, ny_ = 0;
   size_t num_occupied_cells_ = 0;

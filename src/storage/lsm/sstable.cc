@@ -279,7 +279,6 @@ size_t SSTable::MultiGet(std::span<const uint64_t> keys, LsmValue* values,
   uint32_t pos = 0;  // entries of block_read before pos hold smaller keys
   size_t hits = 0;
   for (; i < keys.size() && keys[i] <= max_key_; ++i) {
-    if (found[i] != 0) continue;
     const uint64_t key = keys[i];
     while (index_[b].last_key < key) ++b;
     if (key < index_[b].first_key) continue;  // between two blocks

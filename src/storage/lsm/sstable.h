@@ -27,13 +27,18 @@
 
 #include "common/env.h"
 #include "common/status.h"
-#include "storage/lsm/skiplist.h"
 
 namespace k2 {
 struct IoStats;
 }
 
 namespace k2::lsm {
+
+/// The row payload stored under a packed (t, oid) key.
+struct LsmValue {
+  double x = 0.0;
+  double y = 0.0;
+};
 
 inline constexpr uint64_t kSstMagic = 0x6b32686f70737374ULL;  // "k2hopsst"
 inline constexpr uint32_t kSstFormatVersion = 3;
@@ -107,9 +112,9 @@ class SSTable {
 
   /// Looks up ascending, duplicate-free `keys` in one forward walk over the
   /// blocks: one index binary search for the first key, then block by
-  /// block. Keys with found[i] != 0 are skipped (a newer source already
-  /// holds them); a key found here sets values[i] and found[i] = 1.
-  /// Returns the number of keys this call found.
+  /// block. A key found here sets values[i] and found[i] = 1; the entries
+  /// of other keys are left as they were. Returns the number of keys this
+  /// call found.
   size_t MultiGet(std::span<const uint64_t> keys, LsmValue* values,
                   uint8_t* found, IoStats* stats) const;
 

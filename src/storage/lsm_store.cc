@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstring>
 #include <set>
+#include <span>
 
+#include "common/check.h"
 #include "storage/key.h"
 
 namespace k2 {
@@ -18,7 +20,7 @@ using lsm::WalWriter;
 namespace {
 
 /// WAL record payload: [u8 type][u32 count][count * (u64 key, f64 x, f64 y)].
-constexpr uint8_t kWalPutBatch = 1;
+constexpr uint8_t kWalRowBatch = 1;
 constexpr size_t kWalEntrySize = 24;
 constexpr size_t kWalBatchHeader = 5;
 
@@ -27,63 +29,33 @@ void AppendRaw(std::string* out, const void* data, size_t n) {
 }
 
 using TableList = std::vector<std::shared_ptr<const SSTable>>;
+using MemtableList = std::span<const lsm::Memtable* const>;
 
-// Read path shared by the store and its snapshots, templated over the
-// memtable representation: the live store reads its active SkipList plus any
-// immutable memtables awaiting flush, a snapshot reads one frozen sorted
-// run. `mems` is newest first, `tables` is newest first, and table reads
-// charge `stats`.
+// Read path shared by the store and its snapshots. Every key lives in
+// exactly one source, and the sources come in key order — `tables` sorted
+// by key range, then `mems` oldest first — so each source's rows are
+// appended as found and the result is sorted. Table reads charge `stats`.
 
-template <typename MemtableT>
-Status LsmScanTimestamp(const MemtableT* const* mems, size_t num_mems,
-                        const TableList& tables, Timestamp t,
-                        std::vector<SnapshotPoint>* out, IoStats* stats) {
+Status LsmScanTimestamp(const TableList& tables, MemtableList mems,
+                        Timestamp t, std::vector<SnapshotPoint>* out,
+                        IoStats* stats) {
   out->clear();
   ++stats->snapshot_scans;
   const uint64_t lo = MinKeyOf(t);
   const uint64_t hi = MaxKeyOf(t);
-
-  // Collect versions from every overlapping source; a row's rank is its
-  // source position (memtables before all tables), so newest-wins dedup is
-  // a sort by (key, rank).
-  struct Row {
-    uint64_t key;
-    uint64_t rank;  // smaller = newer source
-    LsmValue value;
+  auto emit = [out](uint64_t key, const LsmValue& value) {
+    out->push_back(SnapshotPoint{KeyOid(key), value.x, value.y});
   };
-  std::vector<Row> rows;
-  for (size_t i = 0; i < num_mems; ++i) {
-    mems[i]->Scan(lo, hi, [&](uint64_t key, const LsmValue& value) {
-      rows.push_back(Row{key, i, value});
-    });
-  }
-  for (size_t j = 0; j < tables.size(); ++j) {
-    tables[j]->Scan(
-        lo, hi,
-        [&](uint64_t key, const LsmValue& value) {
-          rows.push_back(Row{key, num_mems + j, value});
-        },
-        stats);
-  }
-  std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-    if (a.key != b.key) return a.key < b.key;
-    return a.rank < b.rank;
-  });
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (i > 0 && rows[i].key == rows[i - 1].key) continue;
-    out->push_back(
-        SnapshotPoint{KeyOid(rows[i].key), rows[i].value.x, rows[i].value.y});
-  }
+  for (const auto& table : tables) table->Scan(lo, hi, emit, stats);
+  for (const lsm::Memtable* mem : mems) mem->Scan(lo, hi, emit);
   stats->scanned_points += out->size();
   return Status::OK();
 }
 
-// Point reads of one tick: the sorted ObjectSet becomes sorted keys once;
-// each memtable is probed per key, then each table is walked once,
-// newest first, skipping keys a newer source already found.
-template <typename MemtableT>
-Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
-                    const TableList& tables, Timestamp t,
+// Point reads of one tick: the sorted ObjectSet becomes sorted keys once,
+// and each source looks all of them up in one forward walk. A source that
+// does not hold the tick answers in O(1) from its key range.
+Status LsmGetPoints(const TableList& tables, MemtableList mems, Timestamp t,
                     const ObjectSet& objects, std::vector<SnapshotPoint>* out,
                     IoStats* stats) {
   out->clear();
@@ -99,20 +71,12 @@ Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
   for (ObjectId oid : objects) scratch.keys.push_back(MakeKey(t, oid));
   scratch.values.resize(n);
   scratch.found.assign(n, 0);
-  size_t remaining = n;
-  for (size_t m = 0; m < num_mems && remaining > 0; ++m) {
-    if (mems[m]->empty()) continue;
-    for (size_t i = 0; i < n; ++i) {
-      if (scratch.found[i] == 0 &&
-          mems[m]->Get(scratch.keys[i], &scratch.values[i])) {
-        scratch.found[i] = 1;
-        --remaining;
-      }
-    }
+  for (const auto& table : tables) {
+    table->MultiGet(scratch.keys, scratch.values.data(), scratch.found.data(),
+                    stats);
   }
-  for (size_t j = 0; j < tables.size() && remaining > 0; ++j) {
-    remaining -= tables[j]->MultiGet(scratch.keys, scratch.values.data(),
-                                     scratch.found.data(), stats);
+  for (const lsm::Memtable* mem : mems) {
+    mem->MultiGet(scratch.keys, scratch.values.data(), scratch.found.data());
   }
   for (size_t i = 0; i < n; ++i) {
     if (scratch.found[i] == 0) continue;
@@ -123,42 +87,11 @@ Status LsmGetPoints(const MemtableT* const* mems, size_t num_mems,
   return Status::OK();
 }
 
-/// Frozen memtable: the SkipList contents as one sorted run, exposing the
-/// subset of the SkipList read API the shared helpers use.
-class SortedRun {
- public:
-  void Add(uint64_t key, const LsmValue& value) {
-    rows_.emplace_back(key, value);
-  }
-
-  bool empty() const { return rows_.empty(); }
-
-  bool Get(uint64_t key, LsmValue* value) const {
-    auto it = std::lower_bound(
-        rows_.begin(), rows_.end(), key,
-        [](const auto& row, uint64_t k) { return row.first < k; });
-    if (it == rows_.end() || it->first != key) return false;
-    *value = it->second;
-    return true;
-  }
-
-  template <typename Fn>
-  void Scan(uint64_t lo, uint64_t hi, Fn&& fn) const {
-    auto it = std::lower_bound(
-        rows_.begin(), rows_.end(), lo,
-        [](const auto& row, uint64_t k) { return row.first < k; });
-    for (; it != rows_.end() && it->first <= hi; ++it) fn(it->first, it->second);
-  }
-
- private:
-  std::vector<std::pair<uint64_t, LsmValue>> rows_;
-};
-
-/// Read-only view: the parent's immutable SSTable handles, shared, plus the
-/// frozen memtable run, charging the snapshot's own io_stats().
+/// Read-only view: the parent's immutable SSTable handles, shared, plus a
+/// copy of its memtable, charging the snapshot's own io_stats().
 class LsmReadSnapshot final : public Store {
  public:
-  LsmReadSnapshot(SortedRun memtable, TableList tables,
+  LsmReadSnapshot(lsm::Memtable memtable, TableList tables,
                   std::vector<Timestamp> timestamps, uint64_t num_points)
       : memtable_(std::move(memtable)),
         tables_(std::move(tables)),
@@ -173,13 +106,13 @@ class LsmReadSnapshot final : public Store {
     return Status::Invalid("read snapshot of lsmt is read-only");
   }
   Status ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) override {
-    const SortedRun* mem = &memtable_;
-    return LsmScanTimestamp(&mem, 1, tables_, t, out, &io_stats_);
+    const lsm::Memtable* mem = &memtable_;
+    return LsmScanTimestamp(tables_, {&mem, 1}, t, out, &io_stats_);
   }
   Status GetPoints(Timestamp t, const ObjectSet& objects,
                    std::vector<SnapshotPoint>* out) override {
-    const SortedRun* mem = &memtable_;
-    return LsmGetPoints(&mem, 1, tables_, t, objects, out, &io_stats_);
+    const lsm::Memtable* mem = &memtable_;
+    return LsmGetPoints(tables_, {&mem, 1}, t, objects, out, &io_stats_);
   }
   TimeRange time_range() const override {
     if (timestamps_.empty()) return TimeRange{0, -1};
@@ -191,11 +124,47 @@ class LsmReadSnapshot final : public Store {
   uint64_t num_points() const override { return num_points_; }
 
  private:
-  SortedRun memtable_;
-  TableList tables_;  // newest first, as in the parent
+  lsm::Memtable memtable_;
+  TableList tables_;  // key order, as in the parent
   std::vector<Timestamp> timestamps_;
   uint64_t num_points_;
 };
+
+/// Builds table `seq` at `path` from the rows `feed` adds to the builder in
+/// key order, publishes it, and opens it.
+template <typename Feed>
+Result<std::shared_ptr<const SSTable>> BuildTable(Env* env,
+                                                  const std::string& path,
+                                                  uint64_t seq, Feed&& feed) {
+  {
+    SSTableBuilder builder(env, path);
+    K2_RETURN_NOT_OK(feed(&builder));
+    K2_RETURN_NOT_OK(builder.Finish());
+  }
+  return SSTable::Open(path, seq);
+}
+
+/// The lowest tier whose nominal size, memtable_limit * fanout^tier,
+/// holds `entries`.
+uint32_t TierHolding(uint64_t entries, uint64_t memtable_limit,
+                     uint64_t fanout) {
+  uint32_t tier = 0;
+  for (uint64_t nominal = std::max<uint64_t>(memtable_limit, 1);
+       nominal < entries && tier + 1 < lsm::kMaxTiers; ++tier) {
+    nominal = nominal > entries / fanout ? entries : nominal * fanout;
+  }
+  return tier;
+}
+
+bool ByMinKey(const std::shared_ptr<const SSTable>& a,
+              const std::shared_ptr<const SSTable>& b) {
+  return a->min_key() < b->min_key();
+}
+
+std::string KeyString(uint64_t key) {
+  return "(t=" + std::to_string(KeyTime(key)) +
+         ", oid=" + std::to_string(KeyOid(key)) + ")";
+}
 
 std::string TableFileName(uint64_t seq) {
   return "sstable_" + std::to_string(seq) + ".sst";
@@ -264,7 +233,7 @@ Status LsmStore::Recover() {
   // exists; the lock makes the Locked helpers callable and is uncontended.
   MutexLock lock(mu_);
   K2_RETURN_NOT_OK(env_->CreateDirs(dir_));
-  memtable_ = std::make_unique<lsm::SkipList>();
+  memtable_ = std::make_unique<lsm::Memtable>();
 
   ManifestState manifest;
   auto read = lsm::ReadManifest(env_, dir_);
@@ -284,18 +253,44 @@ Status LsmStore::Recover() {
                         SSTable::Open(dir_ + "/" + t.file, t.seq));
     tiers_[t.tier].push_back(std::move(table));
   }
-  RebuildFlatViewLocked();
+  RebuildReadViewLocked();
 
-  // 2. Replay the live WAL segments (oldest first) into the active
+  // 2. Every key lives in one source, so the tables must cover disjoint key
+  //    ranges. Walked in key order, then the WAL, rows come in key order
+  //    and the tick list grows at its back.
+  auto note_tick = [&](uint64_t key) {
+    const Timestamp t = KeyTime(key);
+    if (tick_cache_.empty() || tick_cache_.back() != t) tick_cache_.push_back(t);
+  };
+  const SSTable* last = nullptr;  // last non-empty table in key order
+  for (const auto& table : tables_by_key_) {
+    if (table->num_entries() == 0) continue;
+    if (last != nullptr && last->max_key() >= table->min_key()) {
+      return Status::Invalid(
+          "manifest tables overlap: " + last->path() + " ends at key " +
+          KeyString(last->max_key()) + ", " + table->path() +
+          " starts at key " + KeyString(table->min_key()));
+    }
+    last = table.get();
+    num_points_ += table->num_entries();
+    table->Scan(
+        0, ~0ULL, [&](uint64_t key, const LsmValue&) { note_tick(key); },
+        &io_stats_);
+  }
+
+  // 3. Replay the live WAL segments (oldest first) into the active
   //    memtable: the longest valid prefix of each is exactly what was
-  //    durable. The segments stay live until this memtable flushes.
-  std::set<Timestamp> ticks;
+  //    durable. Logged keys ascend above every table; a key that does not
+  //    is a named error, not a row to guess a place for. The segments stay
+  //    live until this memtable flushes.
+  Status order;
   for (uint64_t wseq : manifest.live_wals) {
     const std::string path = WalFilePath(wseq);
     if (!env_->FileExists(path)) continue;  // flushed + deleted mid-commit
     auto replayed = lsm::ReplayWal(env_, path, [&](const char* payload,
                                                    size_t n) {
-      if (n < kWalBatchHeader || payload[0] != kWalPutBatch) return;
+      if (!order.ok()) return;
+      if (n < kWalBatchHeader || payload[0] != kWalRowBatch) return;
       uint32_t count;
       std::memcpy(&count, payload + 1, 4);
       if (n < kWalBatchHeader + uint64_t{count} * kWalEntrySize) return;
@@ -306,29 +301,26 @@ Status LsmStore::Recover() {
         std::memcpy(&key, p, 8);
         std::memcpy(&value.x, p + 8, 8);
         std::memcpy(&value.y, p + 16, 8);
-        memtable_->Put(key, value);
-        ticks.insert(KeyTime(key));
+        if ((last != nullptr && key <= last->max_key()) ||
+            !memtable_->Append(key, value)) {
+          order = Status::Invalid("wal record out of order in " + path +
+                                  ": key " + KeyString(key) +
+                                  " is not above the key before it");
+          return;
+        }
+        note_tick(key);
         ++num_points_;
       }
     });
     if (!replayed.ok()) return replayed.status();
+    K2_RETURN_NOT_OK(order);
   }
   active_wal_seqs_ = manifest.live_wals;
 
-  // 3. Start a fresh WAL segment for new writes and commit the recovered
+  // 4. Start a fresh WAL segment for new writes and commit the recovered
   //    shape, so the store is durable-consistent before the first Append.
   K2_RETURN_NOT_OK(OpenActiveWalLocked(false));
   K2_RETURN_NOT_OK(WriteManifestLocked());
-
-  // 4. Rebuild the derived metadata (tick list, row count) from the tables.
-  for (const auto& table : flat_newest_first_) {
-    num_points_ += table->num_entries();
-    table->Scan(
-        0, ~0ULL,
-        [&](uint64_t key, const LsmValue&) { ticks.insert(KeyTime(key)); },
-        &io_stats_);
-  }
-  tick_cache_.assign(ticks.begin(), ticks.end());
 
   // 5. Remove orphans: tmp files of interrupted builds and tables/WALs that
   //    fell out of the MANIFEST before their unlink landed. Names the
@@ -398,13 +390,9 @@ Status LsmStore::OpenActiveWalLocked(bool fresh_wal_set) {
 Status LsmStore::WalAppendLocked(Timestamp t,
                                  const std::vector<SnapshotPoint>& points,
                                  bool sync) {
-  // A bulk load's rows are published by its final Flush; logging them first
-  // would double every byte written (and the segments would be deleted
-  // unread moments later).
-  if (bulk_loading_) return Status::OK();
   wal_scratch_.clear();
   const uint32_t count = static_cast<uint32_t>(points.size());
-  AppendRaw(&wal_scratch_, &kWalPutBatch, 1);
+  AppendRaw(&wal_scratch_, &kWalRowBatch, 1);
   AppendRaw(&wal_scratch_, &count, 4);
   for (const SnapshotPoint& p : points) {
     const uint64_t key = MakeKey(t, p.oid);
@@ -420,28 +408,6 @@ Status LsmStore::WalAppendLocked(Timestamp t,
   return s;
 }
 
-void LsmStore::ApplyPutLocked(Timestamp t, ObjectId oid, double x, double y) {
-  memtable_->Put(MakeKey(t, oid), LsmValue{x, y});
-  // Keep the flat tick list sorted and unique as ticks arrive; time-ordered
-  // ingest hits the cheap push_back path.
-  if (tick_cache_.empty() || t > tick_cache_.back()) {
-    tick_cache_.push_back(t);
-  } else {
-    auto it = std::lower_bound(tick_cache_.begin(), tick_cache_.end(), t);
-    if (it == tick_cache_.end() || *it != t) tick_cache_.insert(it, t);
-  }
-  ++num_points_;
-}
-
-Status LsmStore::Put(Timestamp t, ObjectId oid, double x, double y) {
-  MutexLock lock(mu_);
-  K2_RETURN_NOT_OK(WritableLocked());
-  const std::vector<SnapshotPoint> one{SnapshotPoint{oid, x, y}};
-  K2_RETURN_NOT_OK(WalAppendLocked(t, one, /*sync=*/false));
-  ApplyPutLocked(t, oid, x, y);
-  return MaybeRotateLocked();
-}
-
 Status LsmStore::Append(Timestamp t, const std::vector<SnapshotPoint>& points) {
   K2_RETURN_NOT_OK(init_status_);
   K2_RETURN_NOT_OK(CheckAppend(t, points));
@@ -452,7 +418,13 @@ Status LsmStore::Append(Timestamp t, const std::vector<SnapshotPoint>& points) {
   // sees it, and an error leaves the store exactly as it was.
   K2_RETURN_NOT_OK(
       WalAppendLocked(t, points, options_.wal_sync_every_append));
-  for (const SnapshotPoint& p : points) ApplyPutLocked(t, p.oid, p.x, p.y);
+  // CheckAppend put the tick past the stored range with ascending oids, so
+  // every key lands above the memtable's last one.
+  for (const SnapshotPoint& p : points) {
+    K2_CHECK(memtable_->Append(MakeKey(t, p.oid), LsmValue{p.x, p.y}));
+  }
+  tick_cache_.push_back(t);
+  num_points_ += points.size();
   return MaybeRotateLocked();
 }
 
@@ -497,9 +469,10 @@ Status LsmStore::RotateMemtableLocked() {
     return s;
   }
   pending_.push_back(PendingMemtable{
-      std::shared_ptr<const lsm::SkipList>(memtable_.release()),
+      std::shared_ptr<const lsm::Memtable>(memtable_.release()),
       active_wal_seqs_});
-  memtable_ = std::make_unique<lsm::SkipList>();
+  memtable_ = std::make_unique<lsm::Memtable>();
+  RebuildReadViewLocked();
   K2_RETURN_NOT_OK(OpenActiveWalLocked(/*fresh_wal_set=*/true));
   s = WriteManifestLocked();
   if (!s.ok()) {
@@ -550,28 +523,19 @@ Status LsmStore::FlushFrontLocked() {
   const std::string path = TableFilePath(table_seq);
 
   mu_.Unlock();
-  SSTableBuilder builder(env_, path);
-  Status s;
-  job.mem->ForEach([&](uint64_t key, const LsmValue& value) {
-    if (s.ok()) s = builder.Add(key, value);
-  });
-  if (s.ok()) s = builder.Finish();
-  std::shared_ptr<const SSTable> table;
-  if (s.ok()) {
-    auto opened = SSTable::Open(path, table_seq);
-    if (opened.ok()) {
-      table = opened.MoveValue();
-    } else {
-      s = opened.status();
+  auto built = BuildTable(env_, path, table_seq, [&](SSTableBuilder* builder) {
+    for (const lsm::Memtable::Row& row : job.mem->rows()) {
+      K2_RETURN_NOT_OK(builder->Add(row.key, row.value));
     }
-  }
+    return Status::OK();
+  });
   mu_.Lock();
-  if (!s.ok()) return s;
+  if (!built.ok()) return built.status();
 
   if (tiers_.empty()) tiers_.emplace_back();
-  tiers_[0].push_back(std::move(table));
+  tiers_[0].push_back(built.MoveValue());
   pending_.pop_front();
-  RebuildFlatViewLocked();
+  RebuildReadViewLocked();
   // Commit: the MANIFEST now references the table and no longer lists the
   // flushed segments. Only after that commit may the WAL files go away.
   K2_RETURN_NOT_OK(WriteManifestLocked());
@@ -588,63 +552,39 @@ Status LsmStore::CompactLocked() {
     // Take the inputs; only this thread mutates tiers_, so the set is
     // stable across the unlocked merge, and table handles are immutable,
     // so the merge reads them while foreground readers do too.
-    const TableList inputs = tiers_[tier];
+    TableList inputs = tiers_[tier];
     const uint64_t out_seq = next_seq_++;
     const std::string out_path = TableFilePath(out_seq);
 
     mu_.Unlock();
-    // Sort-based merge: materialize (key, seq, value), keep the newest
-    // version of each key. Table sizes at our scales fit in memory.
+    // The inputs hold disjoint key ranges, so the merge is their
+    // concatenation in key order; the builder refuses a key that is not
+    // above the one before it.
+    std::sort(inputs.begin(), inputs.end(), ByMinKey);
     IoStats merge_io;
-    struct Row {
-      uint64_t key;
-      uint64_t seq;
-      LsmValue value;
-    };
-    std::vector<Row> rows;
-    uint64_t total = 0;
-    for (const auto& in : inputs) total += in->num_entries();
-    rows.reserve(total);
-    for (const auto& in : inputs) {
-      in->Scan(
-          0, ~0ULL,
-          [&](uint64_t key, const LsmValue& value) {
-            rows.push_back(Row{key, in->seq(), value});
-          },
-          &merge_io);
-    }
-    std::sort(rows.begin(), rows.end(), [](const Row& a, const Row& b) {
-      if (a.key != b.key) return a.key < b.key;
-      return a.seq > b.seq;  // newest first within a key
-    });
-    Status s;
-    {
-      SSTableBuilder builder(env_, out_path);
-      for (size_t i = 0; i < rows.size() && s.ok(); ++i) {
-        if (i > 0 && rows[i].key == rows[i - 1].key) continue;  // older version
-        s = builder.Add(rows[i].key, rows[i].value);
-      }
-      if (s.ok()) s = builder.Finish();
-    }
-    std::shared_ptr<const SSTable> merged;
-    if (s.ok()) {
-      auto opened = SSTable::Open(out_path, out_seq);
-      if (opened.ok()) {
-        merged = opened.MoveValue();
-      } else {
-        s = opened.status();
-      }
-    }
+    auto merged =
+        BuildTable(env_, out_path, out_seq, [&](SSTableBuilder* builder) {
+          Status s;
+          for (const auto& in : inputs) {
+            in->Scan(
+                0, ~0ULL,
+                [&](uint64_t key, const LsmValue& value) {
+                  if (s.ok()) s = builder->Add(key, value);
+                },
+                &merge_io);
+          }
+          return s;
+        });
     mu_.Lock();
     bg_io_.Accumulate(merge_io);
-    if (!s.ok()) return s;
+    if (!merged.ok()) return merged.status();
 
     TableList graveyard;
     graveyard.swap(tiers_[tier]);
     if (tier + 1 >= tiers_.size()) tiers_.emplace_back();
-    tiers_[tier + 1].push_back(std::move(merged));
+    tiers_[tier + 1].push_back(merged.MoveValue());
     ++compactions_run_;
-    RebuildFlatViewLocked();
+    RebuildReadViewLocked();
     K2_RETURN_NOT_OK(WriteManifestLocked());
     // The inputs left the MANIFEST with that commit; their files can go
     // (recovery sweeps any unlink a crash interrupts). A read snapshot still
@@ -655,13 +595,15 @@ Status LsmStore::CompactLocked() {
   return Status::OK();
 }
 
-void LsmStore::RebuildFlatViewLocked() {
-  flat_newest_first_.clear();
+void LsmStore::RebuildReadViewLocked() {
+  tables_by_key_.clear();
   for (const auto& tier : tiers_) {
-    for (const auto& table : tier) flat_newest_first_.push_back(table);
+    for (const auto& table : tier) tables_by_key_.push_back(table);
   }
-  std::sort(flat_newest_first_.begin(), flat_newest_first_.end(),
-            [](const auto& a, const auto& b) { return a->seq() > b->seq(); });
+  std::sort(tables_by_key_.begin(), tables_by_key_.end(), ByMinKey);
+  mems_by_key_.clear();
+  for (const PendingMemtable& p : pending_) mems_by_key_.push_back(p.mem.get());
+  mems_by_key_.push_back(memtable_.get());
 }
 
 // ---------------------------------------------------------------------------
@@ -711,105 +653,81 @@ void LsmStore::WorkerMain() {
 
 Status LsmStore::BulkLoad(const Dataset& dataset) {
   K2_RETURN_NOT_OK(init_status_);
-  {
-    MutexLock lock(mu_);
-    // Let any in-flight background job finish, then reset all content —
-    // including a sticky write error: a reload is a fresh start.
-    while (worker_busy_) drain_cv_.Wait(mu_);
-    std::vector<std::string> doomed;
-    for (const PendingMemtable& p : pending_) {
-      for (uint64_t seq : p.wal_seqs) doomed.push_back(WalFilePath(seq));
-    }
-    pending_.clear();
-    for (auto& tier : tiers_) {
-      for (auto& table : tier) doomed.push_back(table->path());
-    }
-    for (uint64_t seq : active_wal_seqs_) doomed.push_back(WalFilePath(seq));
-    if (wal_ != nullptr) wal_->Close();
-    wal_.reset();
-    tiers_.clear();
-    flat_newest_first_.clear();
-    memtable_ = std::make_unique<lsm::SkipList>();
-    tick_cache_.clear();
-    num_points_ = 0;
-    write_error_ = Status::OK();
-    for (const std::string& path : doomed) env_->RemoveFile(path);
-    K2_RETURN_NOT_OK(OpenActiveWalLocked(/*fresh_wal_set=*/true));
-    Status s = WriteManifestLocked();
-    if (!s.ok()) {
-      write_error_ = s;
-      return s;
-    }
-    bulk_loading_ = true;
-  }
-
-  // Route every row through the write path so that flushes and compactions
-  // actually happen — the generators emit in time order, which mirrors how
-  // movement data arrives in an operational store. WAL logging is off until
-  // the final Flush has made everything durable as SSTables (see header).
-  Status load = Status::OK();
-  for (const PointRecord& rec : dataset.records()) {
-    load = Put(rec.t, rec.oid, rec.x, rec.y);
-    if (!load.ok()) break;
-  }
-  {
-    MutexLock lock(mu_);
-    bulk_loading_ = false;
-  }
-  K2_RETURN_NOT_OK(load);
-  K2_RETURN_NOT_OK(Flush());
-
   MutexLock lock(mu_);
+  // Let an in-flight background job finish; queued ones go with the old
+  // content.
+  while (worker_busy_) drain_cv_.Wait(mu_);
+
+  // The records are (t, oid)-sorted and duplicate-free, so they stream
+  // straight into one table. It is published before the live state
+  // changes: a failure here leaves the old content in place, plus at most
+  // an orphan file that recovery sweeps.
+  std::shared_ptr<const SSTable> table;
+  if (!dataset.empty()) {
+    const uint64_t seq = next_seq_++;
+    K2_ASSIGN_OR_RETURN(
+        table, BuildTable(env_, TableFilePath(seq), seq,
+                          [&](SSTableBuilder* builder) {
+                            for (const PointRecord& rec : dataset.records()) {
+                              K2_RETURN_NOT_OK(builder->Add(
+                                  MakeKey(rec.t, rec.oid),
+                                  LsmValue{rec.x, rec.y}));
+                            }
+                            return Status::OK();
+                          }));
+  }
+
+  // Swap the content in — including a fresh start from a sticky write
+  // error — and commit it with one MANIFEST write. The old files go only
+  // once the MANIFEST no longer names them.
+  std::vector<std::string> doomed;
+  for (const PendingMemtable& p : pending_) {
+    for (uint64_t seq : p.wal_seqs) doomed.push_back(WalFilePath(seq));
+  }
+  for (uint64_t seq : active_wal_seqs_) doomed.push_back(WalFilePath(seq));
+  for (const auto& tier : tiers_) {
+    for (const auto& old : tier) doomed.push_back(old->path());
+  }
+  if (wal_ != nullptr) wal_->Close();
+  wal_.reset();
+  pending_.clear();
+  tiers_.clear();
+  if (table != nullptr) {
+    tiers_.resize(TierHolding(table->num_entries(), options_.memtable_limit,
+                              options_.tier_fanout) +
+                  1);
+    tiers_.back().push_back(std::move(table));
+  }
+  memtable_ = std::make_unique<lsm::Memtable>();
+  RebuildReadViewLocked();
+  tick_cache_ = dataset.timestamps();
   num_points_ = dataset.num_points();
-  // Loading routed every row through Put, so flush/compaction IO landed in
-  // io_stats_ — reset, or the first mining run's pruning_ratio() would be
-  // polluted by ingest reads (Table 5 numbers).
+  write_error_ = Status::OK();
+  K2_RETURN_NOT_OK(OpenActiveWalLocked(/*fresh_wal_set=*/true));
+  Status s = WriteManifestLocked();
+  if (!s.ok()) {
+    write_error_ = s;
+    return s;
+  }
+  for (const std::string& path : doomed) env_->RemoveFile(path);
+  // A load is a fresh start for the IO accounting too: the first mining
+  // run's pruning_ratio() (Table 5) counts only its own reads.
   io_stats_.Clear();
   bg_io_.Clear();
   return Status::OK();
 }
 
-size_t LsmStore::CollectMemsLocked(const lsm::SkipList** mems) const {
-  size_t n = 0;
-  mems[n++] = memtable_.get();
-  for (auto it = pending_.rbegin(); it != pending_.rend(); ++it) {
-    mems[n++] = it->mem.get();
-  }
-  return n;
-}
-
-// Stack-buffer capacity for the per-read memtable list: backpressure bounds
-// pending_ at max_pending_memtables (default 2), so 1 + pending always fits
-// unless a caller cranks the option; then reads fall back to the heap.
-constexpr size_t kMaxReadMems = 8;
-
 Status LsmStore::ScanTimestamp(Timestamp t, std::vector<SnapshotPoint>* out) {
   MutexLock lock(mu_);
   K2_RETURN_NOT_OK(init_status_);
-  const lsm::SkipList* stack_mems[kMaxReadMems];
-  std::vector<const lsm::SkipList*> heap_mems;
-  const lsm::SkipList** mems = stack_mems;
-  if (1 + pending_.size() > kMaxReadMems) {
-    heap_mems.resize(1 + pending_.size());
-    mems = heap_mems.data();
-  }
-  const size_t n = CollectMemsLocked(mems);
-  return LsmScanTimestamp(mems, n, flat_newest_first_, t, out, &io_stats_);
+  return LsmScanTimestamp(tables_by_key_, mems_by_key_, t, out, &io_stats_);
 }
 
 Status LsmStore::GetPoints(Timestamp t, const ObjectSet& objects,
                            std::vector<SnapshotPoint>* out) {
   MutexLock lock(mu_);
   K2_RETURN_NOT_OK(init_status_);
-  const lsm::SkipList* stack_mems[kMaxReadMems];
-  std::vector<const lsm::SkipList*> heap_mems;
-  const lsm::SkipList** mems = stack_mems;
-  if (1 + pending_.size() > kMaxReadMems) {
-    heap_mems.resize(1 + pending_.size());
-    mems = heap_mems.data();
-  }
-  const size_t n = CollectMemsLocked(mems);
-  return LsmGetPoints(mems, n, flat_newest_first_, t, objects, out,
+  return LsmGetPoints(tables_by_key_, mems_by_key_, t, objects, out,
                       &io_stats_);
 }
 
@@ -820,12 +738,8 @@ Result<std::unique_ptr<Store>> LsmStore::CreateReadSnapshot() {
   // cover everything; a store with a sticky write error cannot guarantee
   // that, so snapshotting it fails with the same error.
   K2_RETURN_NOT_OK(DrainLocked());
-  SortedRun run;
-  // ForEach visits in key order, so the run is born sorted.
-  memtable_->ForEach(
-      [&](uint64_t key, const LsmValue& value) { run.Add(key, value); });
   auto snapshot = std::make_unique<LsmReadSnapshot>(
-      std::move(run), flat_newest_first_, tick_cache_, num_points_);
+      *memtable_, tables_by_key_, tick_cache_, num_points_);
   return std::unique_ptr<Store>(std::move(snapshot));
 }
 

@@ -1,21 +1,27 @@
-// Log-Structured Merge-tree store ("k2-LSMT", paper Sec. 5.2): skip-list
-// memtable, immutable SSTables, size-tiered compaction. Because the composite
-// key is (t, oid), all rows of a timestamp are co-located, so a benchmark
-// scan is one range read with a single seek, and the point reads of one tick
-// are one forward merge-walk per table over its mmap — precisely the access
-// mix k/2-hop generates.
+// Log-Structured Merge-tree store ("k2-LSMT", paper Sec. 5.2): an
+// append-only sorted-run memtable, immutable SSTables, size-tiered
+// compaction. Because the composite key is (t, oid), all rows of a
+// timestamp are co-located, so a benchmark scan is one range read with a
+// single seek, and the point reads of one tick are one forward merge-walk
+// over the table holding it — precisely the access mix k/2-hop generates.
 //
-// Crash safety: every mutation is framed into a write-ahead log before it
-// touches the memtable (Append fdatasyncs the WAL per tick by default), the
-// MANIFEST records the live SSTables per tier plus the WAL segments still
-// holding unflushed data, and SSTables are published atomically (tmp + fsync
-// + rename). Reopening a directory replays the longest valid WAL prefix on
+// Append-only: rows arrive in key order (Append takes only ticks past the
+// stored range, BulkLoad takes the dataset's (t, oid)-sorted records), so
+// nothing is overwritten and every key lives in exactly one source. Tables
+// and memtables cover disjoint key ranges, reads concatenate the sources in
+// key order, and a compaction concatenates its inputs.
+//
+// Crash safety: every Append is framed into a write-ahead log before it
+// touches the memtable (fdatasynced per tick by default), the MANIFEST
+// records the live SSTables per tier plus the WAL segments still holding
+// unflushed data, and SSTables are published atomically (tmp + fsync +
+// rename). Reopening a directory replays the longest valid WAL prefix on
 // top of the MANIFEST's tables — the recovery path the fault-injection crash
 // matrix in tests/lsm_crash_*.cc sweeps op by op.
 //
 // Tail latency: a full memtable is handed off as an immutable run to a
 // background thread that builds the SSTable and runs the compaction cascade,
-// so the foreground Put/Append path never absorbs a flush or merge spike
+// so the foreground Append path never absorbs a flush or merge spike
 // (LsmStoreOptions::background_compaction, on by default).
 #ifndef K2_STORAGE_LSM_STORE_H_
 #define K2_STORAGE_LSM_STORE_H_
@@ -30,7 +36,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "storage/lsm/manifest.h"
-#include "storage/lsm/skiplist.h"
+#include "storage/lsm/memtable.h"
 #include "storage/lsm/sstable.h"
 #include "storage/lsm/wal.h"
 #include "storage/store.h"
@@ -48,9 +54,9 @@ struct LsmStoreOptions {
   /// substitute a FaultInjectionEnv here.
   Env* env = nullptr;
   /// fdatasync the WAL once per Append() tick, making the tick durable
-  /// before Append returns (~1 ms on commodity storage). Put() never syncs;
-  /// its records become durable at the next Append, Flush, or rotation
-  /// sync. Disabling trades per-tick durability for raw ingest speed.
+  /// before Append returns (~1 ms on commodity storage). Disabled, a tick
+  /// becomes durable at the next synced Append, Flush, or rotation.
+  /// Disabling trades per-tick durability for raw ingest speed.
   bool wal_sync_every_append = true;
   /// Run flush + compaction on a background thread (immutable-memtable
   /// handoff). Disabled, the same jobs run synchronously inside the write
@@ -78,12 +84,14 @@ class LsmStore final : public Store {
   ~LsmStore() override;
 
   std::string name() const override { return "lsmt"; }
-  /// Replaces all content with `dataset`, routing rows through the normal
-  /// write path (flushes and compactions happen for real) but WITHOUT WAL
-  /// logging: a bulk rebuild has nothing durable to promise until it
-  /// returns, at which point the final Flush has published every row as
-  /// SSTables + MANIFEST — stronger than WAL durability. A crash mid-load
-  /// recovers some clean prefix of the dataset's rows.
+  /// Replaces all content with `dataset`: its (t, oid)-sorted records
+  /// stream into one SSTable, published (tmp + fsync + rename) and then
+  /// committed by one MANIFEST write, with no memtable, WAL logging or
+  /// compaction involved. The table goes to the lowest tier whose nominal
+  /// size, memtable_limit * tier_fanout^tier, holds it, so later Append
+  /// flushes do not rewrite it straight away. Until the commit the old
+  /// content stays live, so a crash mid-load recovers the store either as
+  /// it was or complete — on a fresh store, empty or complete.
   Status BulkLoad(const Dataset& dataset) override K2_EXCLUDES(mu_);
   Status Append(Timestamp t, const std::vector<SnapshotPoint>& points) override
       K2_EXCLUDES(mu_);
@@ -94,7 +102,7 @@ class LsmStore final : public Store {
   TimeRange time_range() const override;
   const std::vector<Timestamp>& timestamps() const override;
   // Invariant (analysis off): num_points_ is written only by the external
-  // writer thread (Put/Append/BulkLoad, all under mu_) — the background
+  // writer thread (Append/BulkLoad, both under mu_) — the background
   // worker never touches it — and the Store contract forbids calling const
   // metadata accessors while a writer is active, so this unlocked read
   // cannot race. See docs/ARCHITECTURE.md, "Lock discipline".
@@ -102,18 +110,14 @@ class LsmStore final : public Store {
     return num_points_;
   }
 
-  /// Native snapshot: drains background work, freezes the memtable into a
-  /// sorted run, and shares the parent's SSTable handles. A handle is
+  /// Native snapshot: drains background work, copies the memtable's sorted
+  /// run, and shares the parent's SSTable handles. A handle is
   /// immutable (reads go in place to its mmap and charge the IoStats the
   /// caller passes), so concurrent readers share nothing mutable and setup
   /// opens no file. The snapshot owns its table references: it keeps
   /// reading a table after the parent compacts it away.
   Result<std::unique_ptr<Store>> CreateReadSnapshot() override
       K2_EXCLUDES(mu_);
-
-  /// Single-row insert ("fast data inserts" requirement (3) of Sec. 5);
-  /// WAL-logged, rotates the memtable automatically when full.
-  Status Put(Timestamp t, ObjectId oid, double x, double y) K2_EXCLUDES(mu_);
 
   /// Rotates a non-empty memtable out and blocks until every queued flush
   /// and compaction has completed (and been committed to the MANIFEST).
@@ -141,7 +145,7 @@ class LsmStore final : public Store {
   /// An immutable memtable queued for flush, together with the WAL segments
   /// whose records it holds (deleted once the flush is committed).
   struct PendingMemtable {
-    std::shared_ptr<const lsm::SkipList> mem;
+    std::shared_ptr<const lsm::Memtable> mem;
     std::vector<uint64_t> wal_seqs;
   };
 
@@ -157,8 +161,6 @@ class LsmStore final : public Store {
   Status OpenActiveWalLocked(bool fresh_wal_set) K2_REQUIRES(mu_);
   Status WalAppendLocked(Timestamp t, const std::vector<SnapshotPoint>& points,
                          bool sync) K2_REQUIRES(mu_);
-  void ApplyPutLocked(Timestamp t, ObjectId oid, double x, double y)
-      K2_REQUIRES(mu_);
   Status MaybeRotateLocked() K2_REQUIRES(mu_);
   Status RotateMemtableLocked() K2_REQUIRES(mu_);
   Status RotateWalSegmentLocked() K2_REQUIRES(mu_);
@@ -167,11 +169,8 @@ class LsmStore final : public Store {
   Status DrainLocked() K2_REQUIRES(mu_);
   Status FlushFrontLocked() K2_REQUIRES(mu_);
   Status CompactLocked() K2_REQUIRES(mu_);
-  void RebuildFlatViewLocked() K2_REQUIRES(mu_);
-  /// Fills `mems` (active memtable first, then pending newest-first) and
-  /// returns the count. The caller must size `mems` for 1 + pending_.size();
-  /// reads use a stack buffer since backpressure bounds the pending queue.
-  size_t CollectMemsLocked(const lsm::SkipList** mems) const K2_REQUIRES(mu_);
+  /// Rebuilds tables_by_key_ and mems_by_key_ after the sources change.
+  void RebuildReadViewLocked() K2_REQUIRES(mu_);
   void StartWorker() K2_EXCLUDES(mu_);
   void StopWorker() K2_EXCLUDES(mu_);
   void WorkerMain() K2_EXCLUDES(mu_);
@@ -190,7 +189,7 @@ class LsmStore final : public Store {
   CondVar drain_cv_;  ///< Signals waiters: job finished.
 
   /// Active, foreground-written memtable.
-  std::unique_ptr<lsm::SkipList> memtable_ K2_GUARDED_BY(mu_);
+  std::unique_ptr<lsm::Memtable> memtable_ K2_GUARDED_BY(mu_);
   /// WAL segments feeding the active memtable.
   std::vector<uint64_t> active_wal_seqs_ K2_GUARDED_BY(mu_);
   std::unique_ptr<lsm::WalWriter> wal_ K2_GUARDED_BY(mu_);
@@ -201,18 +200,18 @@ class LsmStore final : public Store {
   /// table size (size-tiered compaction).
   std::vector<std::vector<std::shared_ptr<const lsm::SSTable>>> tiers_
       K2_GUARDED_BY(mu_);
-  /// All tables, newest first; rebuilt when the tier structure changes.
-  std::vector<std::shared_ptr<const lsm::SSTable>> flat_newest_first_
+  /// The read view. Sources hold disjoint key ranges, so reads visit every
+  /// table in key order, then the memtables oldest first (pending, then
+  /// active), and concatenate what they find.
+  std::vector<std::shared_ptr<const lsm::SSTable>> tables_by_key_
       K2_GUARDED_BY(mu_);
+  std::vector<const lsm::Memtable*> mems_by_key_ K2_GUARDED_BY(mu_);
   uint64_t next_seq_ K2_GUARDED_BY(mu_) = 1;
   /// Written only by the external writer thread (under mu_); see
   /// num_points() for the unlocked const-read invariant.
   uint64_t num_points_ K2_GUARDED_BY(mu_) = 0;
   uint64_t compactions_run_ K2_GUARDED_BY(mu_) = 0;
   Status write_error_ K2_GUARDED_BY(mu_);
-  /// True while BulkLoad streams rows in: WAL logging is skipped (see
-  /// BulkLoad's durability note), everything else behaves normally.
-  bool bulk_loading_ K2_GUARDED_BY(mu_) = false;
   /// Merge-input reads of flush/compaction jobs.
   IoStats bg_io_ K2_GUARDED_BY(mu_);
 
@@ -222,7 +221,7 @@ class LsmStore final : public Store {
   bool stop_ K2_GUARDED_BY(mu_) = false;
 
   /// Sorted, duplicate-free tick list, maintained eagerly on mutation
-  /// (Put/BulkLoad) so the const read path never writes shared state —
+  /// (Append/BulkLoad) so the const read path never writes shared state —
   /// timestamps() used to rebuild a cache lazily inside a const method, a
   /// data race under the parallel mining pipeline's concurrent metadata
   /// reads. Unlocked const reads follow the num_points() invariant.

@@ -150,7 +150,7 @@ class Store {
   /// shard slot). Contract:
   ///
   ///  * the snapshot borrows the parent: it must not outlive the parent
-  ///    store, and the parent must not be mutated (BulkLoad/Append/Put)
+  ///    store, and the parent must not be mutated (BulkLoad/Append)
   ///    while snapshots are alive;
   ///  * one snapshot serves one thread at a time; distinct snapshots may
   ///    read concurrently with each other without any external lock;

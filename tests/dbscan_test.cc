@@ -197,6 +197,30 @@ TEST(GridIndexTest, DiagonalCellsCovered) {
   EXPECT_EQ(out.size(), 2u);
 }
 
+// Points at x = -1.7e308 and 1.7e308 are finite — every reader and Append
+// accepts them — but their span overflows to inf. The grid sizes its cells
+// from half spans, so it stays small and its queries exact; it used to end
+// with an infinite cell and throw std::length_error from Build.
+TEST(GridIndexTest, SpanBeyondDblMaxStaysSmallAndExact) {
+  const std::vector<SnapshotPoint> pts{{0, -1.7e308, 0.0}, {1, 1.7e308, 0.0},
+                                       {2, 0.0, -1.7e308}, {3, 0.5, 0.5},
+                                       {4, 1.0, 0.5},      {5, 1.7e308, 0.5}};
+  GridIndex index(pts, 1.0);
+  EXPECT_LE(index.num_cells(), pts.size());
+  std::vector<uint32_t> out;
+  index.Neighbors(3, 1.0, &out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{3, 4}));
+  out.clear();
+  index.Neighbors(1, 1.0, &out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 5}));
+  out.clear();
+  index.Region(Rect{-1.0, -1.0, 1.7e308, 1.0}, &out);
+  std::sort(out.begin(), out.end());
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 3, 4, 5}));
+}
+
 // ---------------------------------------------------------------------------
 // DBSCAN
 // ---------------------------------------------------------------------------
@@ -301,6 +325,26 @@ TEST(DbscanTest, LargeEpsMergesEverything) {
   const auto clusters = Dbscan(pts, 100.0, 2);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 4u);
+}
+
+TEST(DbscanTest, ExtremeButFiniteCoordinatesCluster) {
+  // Three chains of 12 points (36 > the brute-force cutoff, so the grid
+  // runs): at each end of the double range and at the origin.
+  const double xs[] = {-1.7e308, 0.0, 1.7e308};
+  std::vector<SnapshotPoint> pts;
+  for (int g = 0; g < 3; ++g) {
+    for (int i = 0; i < 12; ++i) {
+      pts.push_back(SnapshotPoint{static_cast<ObjectId>(pts.size()), xs[g],
+                                  0.5 * i});
+    }
+  }
+  const auto clusters = Dbscan(pts, 1.0, 2);
+  ASSERT_EQ(clusters.size(), 3u);
+  for (int g = 0; g < 3; ++g) {
+    std::vector<ObjectId> ids;
+    for (int i = 0; i < 12; ++i) ids.push_back(static_cast<ObjectId>(12 * g + i));
+    EXPECT_EQ(clusters[g], ObjectSet(std::move(ids))) << "group " << g;
+  }
 }
 
 }  // namespace

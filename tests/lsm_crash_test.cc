@@ -2,7 +2,8 @@
 // Covers the building blocks — CRC32C, FaultInjectionEnv semantics, WAL
 // framing (including randomized truncation / bit-flip properties), atomic
 // SSTable publication with named Open() errors, MANIFEST round-trips — and
-// LsmStore recovery basics plus a strided crash-matrix sweep. The exhaustive
+// LsmStore recovery basics, a sweep of every BulkLoad failpoint, and a
+// strided crash-matrix sweep of the Append stream. The exhaustive
 // every-failpoint sweep over all fixture families lives in
 // lsm_crash_differential_test.cc (slow tier).
 #include <cstring>
@@ -531,7 +532,7 @@ TEST(LsmStoreCrashTest, ForgedManifestTierFailsRecoveryCleanly) {
   const std::string dir = CrashScratchDir("store_forged_tier");
   {
     LsmStore store(dir, SweepStoreOptions(nullptr));
-    ASSERT_TRUE(store.Put(0, 1, 1.0, 2.0).ok());
+    ASSERT_TRUE(store.Append(0, {{1, 1.0, 2.0}}).ok());
     ASSERT_TRUE(store.Flush().ok());
     ASSERT_EQ(store.num_sstables(), 1u);
   }
@@ -581,19 +582,25 @@ TEST(LsmStoreCrashTest, SyncedTicksSurvivePowerCut) {
   }
 }
 
-TEST(LsmStoreCrashTest, UnsyncedPutIsLostSyncedAppendIsNot) {
+TEST(LsmStoreCrashTest, UnsyncedAppendIsLostSyncedAppendIsNot) {
   const std::string dir = CrashScratchDir("store_unsynced");
   FaultInjectionEnv env;
+  LsmStoreOptions options = SweepStoreOptions(&env);
+  options.memtable_limit = 1 << 20;  // no flush: durability via WAL only
   {
-    LsmStoreOptions options = SweepStoreOptions(&env);
-    options.memtable_limit = 1 << 20;  // no flush: durability via WAL only
     LsmStore store(dir, options);
     ASSERT_TRUE(store.init_status().ok());
     for (Timestamp t = 0; t < 5; ++t) {
       ASSERT_TRUE(store.Append(t, {{0, 1.0 * t, 2.0}, {1, 3.0, 4.0}}).ok());
     }
-    // Put never syncs: buffered in the WAL writer / page cache only.
-    ASSERT_TRUE(store.Put(5, 0, 9.0, 9.0).ok());
+  }
+  {
+    // Reopened without the per-tick sync, the next tick sits in the WAL
+    // writer / page cache only.
+    options.wal_sync_every_append = false;
+    LsmStore store(dir, options);
+    ASSERT_TRUE(store.init_status().ok());
+    ASSERT_TRUE(store.Append(5, {{0, 9.0, 9.0}}).ok());
     env.CrashNow();
   }
   LsmStore recovered(dir, SweepStoreOptions(nullptr));
@@ -658,6 +665,77 @@ TEST(LsmStoreCrashTest, WriteErrorIsStickyAndBulkLoadResets) {
   EXPECT_TRUE(store.write_error().ok());
   EXPECT_EQ(store.timestamps(), fix.data.timestamps());
   EXPECT_TRUE(store.Append(10000, {{0, 1.0, 1.0}}).ok());
+}
+
+// BulkLoad publishes its one table before the one MANIFEST commit that
+// makes it live, so a crash, torn write or failed op at any of its
+// failpoints recovers the store empty or complete, never in part. After
+// the reopen no `.tmp` or unlisted `.sst` file is left, and mining (after a
+// clean reload where the load was lost) equals the memory store.
+TEST(LsmStoreCrashTest, BulkLoadCrashSweepRecoversEmptyOrComplete) {
+  const CrashFixture fix = WalkFixture();
+  const std::vector<Convoy> expected = [&] {
+    auto store = k2::testing::MakeMemStore(fix.data);
+    auto r = MineK2Hop(store.get(), fix.params);
+    K2_CHECK(r.ok());
+    return r.MoveValue();
+  }();
+  uint64_t load_ops;
+  {
+    FaultInjectionEnv env;  // unarmed: counts only
+    LsmStore store(CrashScratchDir("bulk_count"), SweepStoreOptions(&env));
+    ASSERT_TRUE(store.init_status().ok());
+    const uint64_t before = env.op_count();
+    ASSERT_TRUE(store.BulkLoad(fix.data).ok());
+    load_ops = env.op_count() - before;
+  }
+  ASSERT_GT(load_ops, 10u);
+  for (FaultMode mode :
+       {FaultMode::kCrash, FaultMode::kTornWrite, FaultMode::kFailOp}) {
+    for (uint64_t fp = 0; fp <= load_ops; ++fp) {
+      SCOPED_TRACE("mode=" + std::to_string(static_cast<int>(mode)) +
+                   " failpoint=" + std::to_string(fp));
+      const std::string dir = CrashScratchDir("bulk_sweep");
+      {
+        FaultInjectionEnv env;
+        LsmStore store(dir, SweepStoreOptions(&env));
+        ASSERT_TRUE(store.init_status().ok());
+        env.ArmFault(mode, fp);
+        // A fault in best-effort cleanup lets the load succeed.
+        (void)store.BulkLoad(fix.data);
+      }
+      LsmStore recovered(dir, SweepStoreOptions(nullptr));
+      ASSERT_TRUE(recovered.init_status().ok())
+          << recovered.init_status().ToString();
+      const bool complete = recovered.num_points() > 0;
+      if (complete) {
+        EXPECT_EQ(recovered.num_points(), fix.data.num_points());
+        ASSERT_EQ(recovered.timestamps(), fix.data.timestamps());
+        std::vector<SnapshotPoint> points;
+        for (Timestamp t : fix.data.timestamps()) {
+          ASSERT_TRUE(recovered.ScanTimestamp(t, &points).ok());
+          ASSERT_EQ(points, SnapshotPoints(fix.data, t)) << "tick " << t;
+        }
+      } else {
+        EXPECT_TRUE(recovered.timestamps().empty());
+      }
+      size_t table_files = 0;
+      for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        const std::string ext = entry.path().extension().string();
+        EXPECT_NE(ext, ".tmp") << entry.path();
+        if (ext == ".sst") ++table_files;
+      }
+      EXPECT_EQ(table_files, recovered.num_sstables());
+      if (!complete) {
+        ASSERT_TRUE(recovered.BulkLoad(fix.data).ok());
+      }
+      auto mined = MineK2Hop(&recovered, fix.params);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      EXPECT_EQ(mined.value(), expected);
+      std::error_code ec;
+      std::filesystem::remove_all(dir, ec);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

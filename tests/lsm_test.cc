@@ -1,5 +1,5 @@
-// White-box tests for the LSM engine: skip list, SSTable format,
-// flush/compaction lifecycle, newest-wins versioning.
+// White-box tests for the LSM engine: SSTable format, flush/compaction
+// lifecycle, the append-only write contract, BulkLoad's single table.
 #include <gtest/gtest.h>
 
 #include <sys/stat.h>
@@ -12,7 +12,6 @@
 
 #include "gen/synthetic.h"
 #include "storage/key.h"
-#include "storage/lsm/skiplist.h"
 #include "storage/lsm/sstable.h"
 #include "storage/lsm_store.h"
 #include "tests/test_util.h"
@@ -23,67 +22,8 @@ namespace {
 using ::k2::testing::ScratchDir;
 using ::k2::testing::WriteFile;
 using lsm::LsmValue;
-using lsm::SkipList;
 using lsm::SSTable;
 using lsm::SSTableBuilder;
-
-// ---------------------------------------------------------------------------
-// SkipList
-// ---------------------------------------------------------------------------
-
-TEST(SkipListTest, PutGet) {
-  SkipList list;
-  list.Put(5, {1.0, 2.0});
-  list.Put(1, {3.0, 4.0});
-  LsmValue v;
-  EXPECT_TRUE(list.Get(5, &v));
-  EXPECT_DOUBLE_EQ(v.x, 1.0);
-  EXPECT_TRUE(list.Get(1, &v));
-  EXPECT_DOUBLE_EQ(v.y, 4.0);
-  EXPECT_FALSE(list.Get(3, &v));
-  EXPECT_EQ(list.size(), 2u);
-}
-
-TEST(SkipListTest, OverwriteKeepsSize) {
-  SkipList list;
-  list.Put(7, {1, 1});
-  list.Put(7, {2, 2});
-  EXPECT_EQ(list.size(), 1u);
-  LsmValue v;
-  ASSERT_TRUE(list.Get(7, &v));
-  EXPECT_DOUBLE_EQ(v.x, 2.0);
-}
-
-TEST(SkipListTest, OrderedScan) {
-  SkipList list;
-  for (uint64_t k : {50, 10, 30, 20, 40}) list.Put(k, {double(k), 0});
-  std::vector<uint64_t> keys;
-  list.Scan(15, 45, [&](uint64_t k, const LsmValue&) { keys.push_back(k); });
-  EXPECT_EQ(keys, (std::vector<uint64_t>{20, 30, 40}));
-}
-
-TEST(SkipListTest, ManyKeysStaySorted) {
-  SkipList list;
-  for (uint64_t i = 0; i < 5000; ++i) list.Put((i * 2654435761u) % 100000, {0, 0});
-  uint64_t prev = 0;
-  bool first = true;
-  list.ForEach([&](uint64_t k, const LsmValue&) {
-    if (!first) {
-      EXPECT_GT(k, prev);
-    }
-    prev = k;
-    first = false;
-  });
-}
-
-TEST(SkipListTest, ClearEmptiesList) {
-  SkipList list;
-  list.Put(1, {0, 0});
-  list.Clear();
-  EXPECT_TRUE(list.empty());
-  LsmValue v;
-  EXPECT_FALSE(list.Get(1, &v));
-}
 
 // ---------------------------------------------------------------------------
 // SSTable
@@ -187,14 +127,6 @@ TEST(SSTableTest, IoStatsModelIsExact) {
   EXPECT_EQ(io.bytes_read, 3u * 24);
   EXPECT_EQ(io.bloom_negative, 0u);
 
-  // Keys a newer source already found are skipped: only block 4 is read.
-  found = {1, 1, 1, 1, 0, 1, 1};
-  IoStats skip;
-  EXPECT_EQ(table->MultiGet(keys, values.data(), found.data(), &skip), 1u);
-  EXPECT_EQ(skip.pages_read, 1u);
-  EXPECT_EQ(skip.seeks, 1u);
-  EXPECT_EQ(skip.bytes_read, 24u);
-
   // Absent keys cost their blocks all the same: the odd keys fall inside
   // every block, so one walk reads all six blocks in one run.
   std::vector<uint64_t> absent;
@@ -219,10 +151,10 @@ TEST(SSTableTest, IoStatsModelIsExact) {
   EXPECT_EQ(scan.bytes_read, 341u * 24);
 }
 
-// Seeded property test: a newest-first MultiGet walk over overlapping
-// tables equals a std::map oracle where the newest table wins — for absent
-// keys, keys on both sides of block boundaries, ticks at the ends of int32,
-// empty key sets, whole-table and cross-tick key sets.
+// Seeded property test: each table's MultiGet walk equals a std::map oracle
+// of that table's own rows, whatever the other tables hold for the same
+// keys — for absent keys, keys on both sides of block boundaries, ticks at
+// the ends of int32, empty key sets, whole-table and cross-tick key sets.
 TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
   const std::string dir = ScratchDir("sstable_multiget_oracle");
   const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -1, 0, 7,
@@ -230,10 +162,11 @@ TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
   std::mt19937_64 rng(20260417);
   for (int round = 0; round < 12; ++round) {
     SCOPED_TRACE("round " + std::to_string(round));
-    // Three tables, newest first; each holds a random subset of (tick, oid)
-    // with oids < 600, so every tick spans several blocks of every table.
+    // Three tables over the same ticks; each holds a random subset of
+    // (tick, oid) with oids < 600, so every tick spans several blocks of
+    // every table and the tables' key ranges overlap.
     std::vector<std::shared_ptr<const SSTable>> tables;
-    std::map<uint64_t, LsmValue> oracle;
+    std::vector<std::map<uint64_t, LsmValue>> oracles;
     for (int j = 0; j < 3; ++j) {
       std::map<uint64_t, LsmValue> rows;
       const uint64_t density = 2 + rng() % 4;
@@ -244,11 +177,10 @@ TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
           }
         }
       }
-      // Tables are built newest first, so the oracle keeps first writes.
-      for (const auto& [key, value] : rows) oracle.emplace(key, value);
       tables.push_back(BuildTable(dir + "/r" + std::to_string(round) + "_" +
                                       std::to_string(j) + ".sst",
-                                  rows, 3 - j));
+                                  rows, j + 1));
+      oracles.push_back(std::move(rows));
     }
     std::vector<std::vector<uint64_t>> queries;
     queries.emplace_back();  // empty key set
@@ -265,26 +197,27 @@ TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
     }
     queries.push_back(std::move(all));  // one walk across every tick
     for (const std::vector<uint64_t>& keys : queries) {
-      std::vector<LsmValue> values(keys.size());
-      std::vector<uint8_t> found(keys.size(), 0);
-      IoStats io;
-      size_t hits = 0;
-      for (const auto& table : tables) {
-        hits += table->MultiGet(keys, values.data(), found.data(), &io);
+      for (size_t j = 0; j < tables.size(); ++j) {
+        std::vector<LsmValue> values(keys.size());
+        std::vector<uint8_t> found(keys.size(), 0);
+        IoStats io;
+        const size_t hits =
+            tables[j]->MultiGet(keys, values.data(), found.data(), &io);
+        size_t want_hits = 0;
+        for (size_t i = 0; i < keys.size(); ++i) {
+          auto it = oracles[j].find(keys[i]);
+          ASSERT_EQ(found[i] != 0, it != oracles[j].end())
+              << "table " << j << " key " << keys[i];
+          if (it == oracles[j].end()) continue;
+          ++want_hits;
+          EXPECT_EQ(values[i].x, it->second.x) << "key " << keys[i];
+          EXPECT_EQ(values[i].y, it->second.y) << "key " << keys[i];
+        }
+        EXPECT_EQ(hits, want_hits);
+        EXPECT_EQ(io.bytes_read, want_hits * 24);
+        EXPECT_EQ(io.pages_cached, 0u);
+        EXPECT_EQ(io.bloom_negative, 0u);
       }
-      size_t want_hits = 0;
-      for (size_t i = 0; i < keys.size(); ++i) {
-        auto it = oracle.find(keys[i]);
-        ASSERT_EQ(found[i] != 0, it != oracle.end()) << "key " << keys[i];
-        if (it == oracle.end()) continue;
-        ++want_hits;
-        EXPECT_EQ(values[i].x, it->second.x) << "key " << keys[i];
-        EXPECT_EQ(values[i].y, it->second.y) << "key " << keys[i];
-      }
-      EXPECT_EQ(hits, want_hits);
-      EXPECT_EQ(io.bytes_read, want_hits * 24);
-      EXPECT_EQ(io.pages_cached, 0u);
-      EXPECT_EQ(io.bloom_negative, 0u);
     }
   }
 }
@@ -293,14 +226,21 @@ TEST(SSTableTest, MultiGetMatchesOracleOnOverlappingTables) {
 // LsmStore
 // ---------------------------------------------------------------------------
 
+/// Tick `t` of objects 0..n-1, object o at (t, o).
+std::vector<SnapshotPoint> Tick(Timestamp t, ObjectId n) {
+  std::vector<SnapshotPoint> points;
+  for (ObjectId o = 0; o < n; ++o) {
+    points.push_back(SnapshotPoint{o, double(t), double(o)});
+  }
+  return points;
+}
+
 TEST(LsmStoreTest, FlushProducesSSTables) {
   LsmStore::Options options;
   options.memtable_limit = 100;
   LsmStore store(ScratchDir("lsm_flush"), options);
   for (Timestamp t = 0; t < 50; ++t) {
-    for (ObjectId o = 0; o < 10; ++o) {
-      ASSERT_TRUE(store.Put(t, o, t, o).ok());
-    }
+    ASSERT_TRUE(store.Append(t, Tick(t, 10)).ok());
   }
   EXPECT_GT(store.num_sstables(), 0u);
   ASSERT_TRUE(store.Flush().ok());
@@ -314,7 +254,7 @@ TEST(LsmStoreTest, CompactionMergesTiers) {
   options.tier_fanout = 2;
   LsmStore store(ScratchDir("lsm_compact"), options);
   for (Timestamp t = 0; t < 100; ++t) {
-    for (ObjectId o = 0; o < 8; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+    ASSERT_TRUE(store.Append(t, Tick(t, 8)).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
   EXPECT_GT(store.compactions_run(), 0u);
@@ -322,7 +262,7 @@ TEST(LsmStoreTest, CompactionMergesTiers) {
   std::vector<SnapshotPoint> out;
   for (Timestamp t = 0; t < 100; ++t) {
     ASSERT_TRUE(store.ScanTimestamp(t, &out).ok());
-    ASSERT_EQ(out.size(), 8u) << "tick " << t;
+    ASSERT_EQ(out, Tick(t, 8)) << "tick " << t;
   }
 }
 
@@ -338,7 +278,7 @@ TEST(LsmStoreTest, TierFanoutBelowTwoIsRejectedAtOpen) {
         << store.init_status().ToString();
     EXPECT_NE(store.init_status().ToString().find("tier_fanout"),
               std::string::npos);
-    EXPECT_EQ(store.Put(0, 1, 0.0, 0.0).code(), StatusCode::kInvalid);
+    EXPECT_EQ(store.Append(0, Tick(0, 1)).code(), StatusCode::kInvalid);
     EXPECT_EQ(store.BulkLoad(DatasetBuilder().Build()).code(),
               StatusCode::kInvalid);
     EXPECT_EQ(store.Flush().code(), StatusCode::kInvalid);
@@ -355,7 +295,7 @@ TEST(LsmStoreTest, TierFanoutTwoCompactsEveryPairOfTables) {
   LsmStore store(ScratchDir("lsm_fanout_2"), options);
   ASSERT_TRUE(store.init_status().ok());
   for (Timestamp t = 0; t < 64; ++t) {
-    for (ObjectId o = 0; o < 4; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+    ASSERT_TRUE(store.Append(t, Tick(t, 4)).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
   EXPECT_GT(store.compactions_run(), 0u);
@@ -385,7 +325,7 @@ TEST(LsmStoreTest, BackgroundOpenDoesNotRaceForegroundIoAccounting) {
   LsmStore store(ScratchDir("lsm_io_race"), options);
   // Prime some tables so the reader has disk IO to charge from tick 0.
   for (Timestamp t = 0; t < 40; ++t) {
-    for (ObjectId o = 0; o < 4; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+    ASSERT_TRUE(store.Append(t, Tick(t, 4)).ok());
   }
   // A dedicated reader hammers table scans (each charges io_stats() under
   // mu_) for the whole run, so a worker-side unlocked write to the same
@@ -405,9 +345,7 @@ TEST(LsmStoreTest, BackgroundOpenDoesNotRaceForegroundIoAccounting) {
     }
   });
   for (Timestamp t = 40; t < 400; ++t) {
-    for (ObjectId o = 0; o < 4; ++o) {
-      ASSERT_TRUE(store.Put(t, o, t, o).ok());
-    }
+    ASSERT_TRUE(store.Append(t, Tick(t, 4)).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
   done.store(true, std::memory_order_release);
@@ -419,62 +357,117 @@ TEST(LsmStoreTest, BackgroundOpenDoesNotRaceForegroundIoAccounting) {
   EXPECT_GT(store.io_stats().bytes_read, 0u);
 }
 
-TEST(LsmStoreTest, NewestVersionWinsAcrossMemtableAndTables) {
-  LsmStore store(ScratchDir("lsm_version"));
-  ASSERT_TRUE(store.Put(0, 1, 1.0, 1.0).ok());
-  ASSERT_TRUE(store.Flush().ok());          // version 1 on disk
-  ASSERT_TRUE(store.Put(0, 1, 2.0, 2.0).ok());  // version 2 in memtable
+// Rows are never overwritten: a tick at or below the stored range is
+// refused with a named error before the WAL sees it, whether the stored
+// version sits in a table or in the memtable, so every reader — and a
+// reopen — keeps returning the first version.
+TEST(LsmStoreTest, RewritingAStoredTickIsRejectedAndTheFirstVersionStays) {
+  const std::string dir = ScratchDir("lsm_version");
+  {
+    LsmStore store(dir);
+    ASSERT_TRUE(store.Append(0, {{1, 1.0, 1.0}}).ok());
+    ASSERT_TRUE(store.Flush().ok());  // tick 0 on disk
+    ASSERT_TRUE(store.Append(1, {{1, 3.0, 3.0}}).ok());  // tick 1 in memtable
+    for (Timestamp t : {0, 1}) {
+      EXPECT_EQ(store.Append(t, {{1, 2.0, 2.0}}).code(), StatusCode::kInvalid)
+          << "tick " << t;
+      EXPECT_EQ(store.Append(t, {{2, 2.0, 2.0}}).code(), StatusCode::kInvalid)
+          << "tick " << t;
+    }
+    EXPECT_EQ(store.num_points(), 2u);
+    EXPECT_EQ(store.memtable_entries(), 1u);
+  }
+  LsmStore reopened(dir);
+  ASSERT_TRUE(reopened.init_status().ok());
   std::vector<SnapshotPoint> out;
-  ASSERT_TRUE(store.ScanTimestamp(0, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].x, 2.0);
-  ASSERT_TRUE(store.GetPoints(0, ObjectSet::Of({1}), &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].x, 2.0);
-
-  // Flush both and let compaction resolve versions on disk too.
-  ASSERT_TRUE(store.Flush().ok());
-  ASSERT_TRUE(store.ScanTimestamp(0, &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_DOUBLE_EQ(out[0].x, 2.0);
+  for (Timestamp t : {0, 1}) {
+    const double x = t == 0 ? 1.0 : 3.0;
+    ASSERT_TRUE(reopened.ScanTimestamp(t, &out).ok());
+    EXPECT_EQ(out, (std::vector<SnapshotPoint>{{1, x, x}})) << "tick " << t;
+    ASSERT_TRUE(reopened.GetPoints(t, ObjectSet::Of({1, 2}), &out).ok());
+    EXPECT_EQ(out, (std::vector<SnapshotPoint>{{1, x, x}})) << "tick " << t;
+  }
 }
 
-TEST(LsmStoreTest, BulkLoadRunsThroughWritePath) {
+// BulkLoad streams the sorted records into one table, with no memtable,
+// flush or compaction, and files it in the lowest tier whose nominal size
+// (memtable_limit * tier_fanout^tier) holds it: 6000 rows over a 1000-row
+// memtable and fan-out 4 land in tier 2 (1000, 4000, 16000). Appends then
+// flush below it without rewriting it.
+TEST(LsmStoreTest, BulkLoadWritesOneTableInTheTierThatHoldsIt) {
   RandomWalkSpec spec;
   spec.num_objects = 30;
   spec.num_ticks = 200;  // 6000 rows
   spec.seed = 5;
   const Dataset ds = GenerateRandomWalk(spec);
+  ASSERT_EQ(ds.num_points(), 6000u);
   LsmStore::Options options;
   options.memtable_limit = 1000;
-  LsmStore store(ScratchDir("lsm_bulk"), options);
-  ASSERT_TRUE(store.BulkLoad(ds).ok());
-  EXPECT_GT(store.num_sstables(), 1u);  // several flushes happened
-  EXPECT_EQ(store.num_points(), ds.num_points());
+  options.background_compaction = false;
+  const std::string dir = ScratchDir("lsm_bulk");
+  {
+    LsmStore store(dir, options);
+    ASSERT_TRUE(store.BulkLoad(ds).ok());
+    EXPECT_EQ(store.num_sstables(), 1u);
+    EXPECT_EQ(store.num_tiers(), 3u);
+    EXPECT_EQ(store.compactions_run(), 0u);
+    EXPECT_EQ(store.memtable_entries(), 0u);
+    EXPECT_EQ(store.num_points(), ds.num_points());
+    EXPECT_EQ(store.timestamps(), ds.timestamps());
+
+    const Timestamp next = ds.time_range().end + 1;
+    ASSERT_TRUE(store.Append(next, Tick(next, 3)).ok());
+    ASSERT_TRUE(store.Flush().ok());
+    EXPECT_EQ(store.num_sstables(), 2u);
+    EXPECT_EQ(store.compactions_run(), 0u);
+  }
+  LsmStore reopened(dir, options);
+  ASSERT_TRUE(reopened.init_status().ok());
+  EXPECT_EQ(reopened.num_points(), ds.num_points() + 3);
+  std::vector<SnapshotPoint> out;
+  for (Timestamp t : ds.timestamps()) {
+    ASSERT_TRUE(reopened.ScanTimestamp(t, &out).ok());
+    ASSERT_EQ(out, SnapshotPoints(ds, t)) << "tick " << t;
+  }
+
+  // An empty dataset loads as an empty store: no table at all.
+  ASSERT_TRUE(reopened.BulkLoad(DatasetBuilder().Build()).ok());
+  EXPECT_EQ(reopened.num_sstables(), 0u);
+  EXPECT_EQ(reopened.num_points(), 0u);
+  EXPECT_TRUE(reopened.timestamps().empty());
 }
 
 TEST(LsmStoreTest, TimestampsTrackInserts) {
   LsmStore store(ScratchDir("lsm_ticks"));
-  ASSERT_TRUE(store.Put(5, 1, 0, 0).ok());
-  ASSERT_TRUE(store.Put(2, 1, 0, 0).ok());
-  ASSERT_TRUE(store.Put(5, 2, 0, 0).ok());
+  ASSERT_TRUE(store.Append(2, {{1, 0, 0}}).ok());
+  ASSERT_TRUE(store.Append(5, {{1, 0, 0}, {2, 0, 0}}).ok());
   EXPECT_EQ(store.timestamps(), (std::vector<Timestamp>{2, 5}));
   EXPECT_EQ(store.time_range(), (TimeRange{2, 5}));
 }
 
-TEST(LsmStoreTest, TimestampsStaySortedUnderOutOfOrderPuts) {
-  // The tick list is maintained eagerly on Put (timestamps() used to
-  // rebuild it lazily inside a const method — a data race under concurrent
-  // metadata reads), so it must stay correct for any insertion order.
-  LsmStore store(ScratchDir("lsm_ticks"));
-  for (Timestamp t : {5, 3, 9, 3, 7, 1, 9}) {
-    ASSERT_TRUE(store.Put(t, 1, 0.0, 0.0).ok());
+// The tick list is maintained eagerly on write (timestamps() used to
+// rebuild it lazily inside a const method — a data race under concurrent
+// metadata reads). Every out-of-order write is refused, so the list only
+// grows at its back and stays sorted.
+TEST(LsmStoreTest, OutOfOrderAppendsAreRejectedAndTicksStaySorted) {
+  LsmStore store(ScratchDir("lsm_ticks_order"));
+  const std::pair<Timestamp, bool> writes[] = {
+      {5, true}, {3, false}, {9, true}, {3, false},
+      {7, false}, {1, false}, {9, false}};
+  for (const auto& [t, accepted] : writes) {
+    const Status s = store.Append(t, {{1, 0.0, 0.0}});
+    if (accepted) {
+      ASSERT_TRUE(s.ok()) << "tick " << t << ": " << s.ToString();
+    } else {
+      EXPECT_EQ(s.code(), StatusCode::kInvalid) << "tick " << t;
+    }
   }
-  EXPECT_EQ(store.timestamps(), (std::vector<Timestamp>{1, 3, 5, 7, 9}));
-  EXPECT_EQ(store.time_range(), (TimeRange{1, 9}));
+  EXPECT_EQ(store.timestamps(), (std::vector<Timestamp>{5, 9}));
+  EXPECT_EQ(store.time_range(), (TimeRange{5, 9}));
+  EXPECT_EQ(store.num_points(), 2u);
   // timestamps() on a const ref must not mutate anything.
   const LsmStore& cref = store;
-  EXPECT_EQ(cref.timestamps().size(), 5u);
+  EXPECT_EQ(cref.timestamps().size(), 2u);
 }
 
 TEST(LsmStoreTest, WalSegmentRotationBySizeAndMultiSegmentReplay) {
@@ -522,7 +515,7 @@ TEST(LsmStoreTest, WalSegmentChainResetsWhenMemtableRotates) {
   options.wal.segment_bytes = 128;
   LsmStore store(ScratchDir("lsm_wal_reset"), options);
   for (Timestamp t = 0; t < 20; ++t) {
-    ASSERT_TRUE(store.Put(t, 0, t, 0).ok());
+    ASSERT_TRUE(store.Append(t, Tick(t, 1)).ok());
   }
   EXPECT_GT(store.active_wal_segments(), 1u);
   // A memtable rotation seals the whole chain with it; the fresh memtable
@@ -535,12 +528,16 @@ TEST(LsmStoreTest, WalSegmentChainResetsWhenMemtableRotates) {
 }
 
 // Seeded property test of LsmStore::GetPoints and its read snapshot against
-// a std::map oracle: out-of-order ticks (including both ends of int32) make
-// flushed tables overlap, overwrites make the newest version win across
-// memtable and tables.
+// a std::map oracle: sparse ticks from one end of int32 to the other, each
+// holding a random object subset, spread over flushed and compacted tables
+// and the memtable, queried with random object sets (absent ticks and
+// objects included).
 TEST(LsmStoreTest, GetPointsMatchesOracle) {
-  const Timestamp ticks[] = {std::numeric_limits<Timestamp>::min(), -3, 0, 1,
-                             std::numeric_limits<Timestamp>::max()};
+  std::vector<Timestamp> ticks = {std::numeric_limits<Timestamp>::min(),
+                                  std::numeric_limits<Timestamp>::min() + 1};
+  for (Timestamp t = -40; t <= 40; t += 2) ticks.push_back(t);
+  ticks.push_back(std::numeric_limits<Timestamp>::max() - 1);
+  ticks.push_back(std::numeric_limits<Timestamp>::max());
   LsmStore::Options options;
   options.memtable_limit = 97;
   options.tier_fanout = 3;
@@ -548,20 +545,26 @@ TEST(LsmStoreTest, GetPointsMatchesOracle) {
   LsmStore store(ScratchDir("lsm_getpoints_oracle"), options);
   std::map<uint64_t, LsmValue> oracle;
   std::mt19937_64 rng(777);
-  for (int i = 0; i < 3000; ++i) {
-    const Timestamp t = ticks[rng() % 5];
-    const ObjectId oid = static_cast<ObjectId>(rng() % 400);
-    const LsmValue v{double(i), -double(i)};
-    ASSERT_TRUE(store.Put(t, oid, v.x, v.y).ok());
-    oracle[MakeKey(t, oid)] = v;
+  for (size_t i = 0; i < ticks.size(); ++i) {
+    // The last tick holds one row, so the memtable keeps some rows.
+    const size_t rows = i + 1 == ticks.size() ? 1 : 1 + rng() % 60;
+    std::vector<SnapshotPoint> points;
+    for (ObjectId oid = 0; oid < 400 && points.size() < rows; ++oid) {
+      if (rng() % 4 == 0) {
+        points.push_back(SnapshotPoint{oid, double(i), -double(oid)});
+        oracle[MakeKey(ticks[i], oid)] = LsmValue{double(i), -double(oid)};
+      }
+    }
+    ASSERT_TRUE(store.Append(ticks[i], points).ok());
   }
   ASSERT_GT(store.num_sstables(), 1u);
+  ASSERT_GT(store.compactions_run(), 0u);
   ASSERT_GT(store.memtable_entries(), 0u);
   auto snapshot_r = store.CreateReadSnapshot();
   ASSERT_TRUE(snapshot_r.ok());
   std::unique_ptr<Store> snapshot = snapshot_r.MoveValue();
   for (int q = 0; q < 200; ++q) {
-    const Timestamp t = ticks[q % 5];
+    const Timestamp t = q % 9 == 0 ? 100 : ticks[q % ticks.size()];
     std::vector<ObjectId> ids;  // q % 10 == 0: the empty set
     for (ObjectId oid = 0; oid < 450 && q % 10 != 0; ++oid) {
       if (rng() % (1 + q % 4) == 0) ids.push_back(oid);
@@ -599,9 +602,7 @@ TEST(LsmStoreTest, GetPointsChargesTheDocumentedIoModel) {
   LsmStore::Options options;
   options.background_compaction = false;
   LsmStore store(ScratchDir("lsm_io_model"), options);
-  for (ObjectId oid = 0; oid < 400; ++oid) {
-    ASSERT_TRUE(store.Put(5, oid, oid, 0).ok());  // blocks of 170 oids
-  }
+  ASSERT_TRUE(store.Append(5, Tick(5, 400)).ok());  // blocks of 170 oids
   ASSERT_TRUE(store.Flush().ok());
   ASSERT_EQ(store.num_sstables(), 1u);
   store.io_stats().Clear();

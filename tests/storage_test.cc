@@ -494,8 +494,15 @@ TEST(LsmSnapshotTest, SnapshotKeepsReadingTablesTheParentCompactsAway) {
   const std::string dir = ScratchDir("lsm_snapshot_shared");
   LsmStore store(dir, options);
   constexpr Timestamp kTicks = 64;
+  auto tick = [](Timestamp t) {
+    std::vector<SnapshotPoint> points;
+    for (ObjectId o = 0; o < 4; ++o) {
+      points.push_back(SnapshotPoint{o, double(t), double(o)});
+    }
+    return points;
+  };
   for (Timestamp t = 0; t < kTicks; ++t) {
-    for (ObjectId o = 0; o < 4; ++o) ASSERT_TRUE(store.Put(t, o, t, o).ok());
+    ASSERT_TRUE(store.Append(t, tick(t)).ok());
   }
   auto snapshot_r = store.CreateReadSnapshot();
   ASSERT_TRUE(snapshot_r.ok()) << snapshot_r.status().ToString();
@@ -529,12 +536,10 @@ TEST(LsmSnapshotTest, SnapshotKeepsReadingTablesTheParentCompactsAway) {
       if (!snapshot_reads_all()) reads_ok.store(false);
     }
   });
-  // Overwrite the snapshot's rows and add more: every flush cascades
-  // compactions through the tables the snapshot holds.
-  for (Timestamp t = 0; t < 4 * kTicks; ++t) {
-    for (ObjectId o = 0; o < 4; ++o) {
-      ASSERT_TRUE(store.Put(t, o, -1.0, -1.0).ok());
-    }
+  // Append four times as many ticks: the flushes cascade compactions
+  // through the tables the snapshot holds.
+  for (Timestamp t = kTicks; t < 5 * kTicks; ++t) {
+    ASSERT_TRUE(store.Append(t, tick(t)).ok());
   }
   ASSERT_TRUE(store.Flush().ok());
   done.store(true, std::memory_order_release);
@@ -547,11 +552,14 @@ TEST(LsmSnapshotTest, SnapshotKeepsReadingTablesTheParentCompactsAway) {
   }
   EXPECT_GT(removed, 0u) << "compaction never dropped a shared table";
   EXPECT_TRUE(snapshot_reads_all());
-  // The parent sees the new versions.
+  // The parent sees the new ticks, the snapshot only its own.
   std::vector<SnapshotPoint> out;
-  ASSERT_TRUE(store.GetPoints(5, ObjectSet::Of({1}), &out).ok());
-  ASSERT_EQ(out.size(), 1u);
-  EXPECT_EQ(out[0].x, -1.0);
+  ASSERT_TRUE(store.GetPoints(5 * kTicks - 1, ObjectSet::Of({1}), &out).ok());
+  EXPECT_EQ(out, (std::vector<SnapshotPoint>{{1, 5.0 * kTicks - 1, 1.0}}));
+  ASSERT_TRUE(snapshot->GetPoints(5 * kTicks - 1, ObjectSet::Of({1}), &out)
+                  .ok());
+  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(snapshot->timestamps().size(), static_cast<size_t>(kTicks));
 }
 
 TEST(FileStoreTest, FirstAppendTruncatesAStaleFile) {

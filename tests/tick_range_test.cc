@@ -5,9 +5,12 @@
 // online miner must also accept INT32_MIN, its "no tick yet" sentinel, as
 // a first tick. Mining is shift-invariant, so the same dataset moved to
 // either end of the tick domain must yield the same convoys, moved alike —
-// from batch, sharded and online mining, and from the gold oracle.
+// from batch, sharded and online mining, and from the gold oracle. A
+// sparse dataset spanning the whole int32 domain must also load, read and
+// mine alike on every storage engine.
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,12 +20,14 @@
 #include "core/online.h"
 #include "core/partition.h"
 #include "gen/synthetic.h"
+#include "storage/lsm_store.h"
 #include "tests/test_util.h"
 
 namespace k2 {
 namespace {
 
 using ::k2::testing::MakeMemStore;
+using ::k2::testing::ScratchDir;
 using ::k2::testing::Str;
 
 constexpr int64_t kMin = std::numeric_limits<Timestamp>::min();
@@ -117,6 +122,86 @@ TEST_P(TickRangeTest, DataEndingAtInt32MaxMinesLikeTickZero) {
 
 TEST_P(TickRangeTest, DataStartingAtInt32MinMinesLikeTickZero) {
   ExpectShiftInvariant(kMin);
+}
+
+// Ticks at INT32_MIN, -1, 0 and INT32_MAX: a span of 2^32 ticks over four
+// snapshots. Every engine, bulk-loaded or fed tick by tick through Append,
+// must report the memory store's timestamps(), answer ScanTimestamp and
+// GetPoints alike at the data ticks and between them, and mine the same
+// convoys. The LSM store runs with a 7-row memtable and fan-out 2, so the
+// appended ticks spread over flushed, compacted tables and the memtable,
+// keyed from both ends of the (t, oid) key space. k keeps the benchmark
+// grid over the 2^32-tick span at 4096 points.
+TEST(TickSpanTest, SparseTicksAcrossInt32ReadAndMineAlikeOnEveryEngine) {
+  DatasetBuilder builder;
+  for (Timestamp t : {static_cast<Timestamp>(kMin), Timestamp{-1},
+                      Timestamp{0}, static_cast<Timestamp>(kMax)}) {
+    for (ObjectId oid = 0; oid < 6; ++oid) {
+      // Objects 0-2 and 3-5 form two groups; object 5 leaves at tick 0.
+      const double x = oid < 3 ? 0.5 * oid : 100.0 + 0.5 * oid;
+      builder.Add(t, oid, x + (t == 0 && oid == 5 ? 50.0 : 0.0), 1.0);
+    }
+  }
+  const Dataset data = builder.Build();
+  const MiningParams params{2, 1 << 21, 1.0};
+  auto memory = MakeMemStore(data);
+  const std::vector<Convoy> expected = [&] {
+    auto r = MineK2Hop(memory.get(), params);
+    K2_CHECK_OK(r.status());
+    return r.MoveValue();
+  }();
+  const Timestamp probes[] = {static_cast<Timestamp>(kMin),
+                              static_cast<Timestamp>(kMin + 1),
+                              -2,
+                              -1,
+                              0,
+                              1,
+                              static_cast<Timestamp>(kMax - 1),
+                              static_cast<Timestamp>(kMax)};
+  const ObjectSet objects = ObjectSet::Of({0, 2, 4, 5, 7});
+
+  for (StoreKind kind : {StoreKind::kMemory, StoreKind::kFile,
+                         StoreKind::kBPlusTree, StoreKind::kLsm}) {
+    for (bool append : {false, true}) {
+      SCOPED_TRACE(std::string(StoreKindName(kind)) +
+                   (append ? " appended" : " bulk-loaded"));
+      const std::string dir = ScratchDir("tick_span");
+      std::unique_ptr<Store> store;
+      if (kind == StoreKind::kLsm) {
+        LsmStoreOptions options;
+        options.memtable_limit = 7;
+        options.tier_fanout = 2;
+        options.background_compaction = false;
+        store = std::make_unique<LsmStore>(dir, options);
+      } else {
+        auto created = CreateStore(kind, dir);
+        ASSERT_TRUE(created.ok()) << created.status().ToString();
+        store = created.MoveValue();
+      }
+      if (append) {
+        for (Timestamp t : data.timestamps()) {
+          ASSERT_TRUE(store->Append(t, SnapshotPoints(data, t)).ok());
+        }
+      } else {
+        ASSERT_TRUE(store->BulkLoad(data).ok());
+      }
+      EXPECT_EQ(store->timestamps(), data.timestamps());
+      EXPECT_EQ(store->time_range(), data.time_range());
+      EXPECT_EQ(store->num_points(), data.num_points());
+      std::vector<SnapshotPoint> got, want;
+      for (Timestamp t : probes) {
+        ASSERT_TRUE(store->ScanTimestamp(t, &got).ok());
+        ASSERT_TRUE(memory->ScanTimestamp(t, &want).ok());
+        EXPECT_EQ(got, want) << "scan of tick " << t;
+        ASSERT_TRUE(store->GetPoints(t, objects, &got).ok());
+        ASSERT_TRUE(memory->GetPoints(t, objects, &want).ok());
+        EXPECT_EQ(got, want) << "points of tick " << t;
+      }
+      auto mined = MineK2Hop(store.get(), params);
+      ASSERT_TRUE(mined.ok()) << mined.status().ToString();
+      EXPECT_EQ(mined.value(), expected) << Str(expected);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, TickRangeTest, ::testing::Values(3u, 11u, 29u));

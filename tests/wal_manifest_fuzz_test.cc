@@ -9,6 +9,11 @@
 //  * ReadManifest must return a named error or a state recovery can trust;
 //    unless the checksum was forged, that state is the pristine one.
 //
+// Two regression inputs pin what recovery adds on top of the decoders: the
+// LSM store is append-only, so a well-framed WAL record whose key does not
+// ascend, and a MANIFEST whose tables overlap in key range, fail the
+// reopen with named errors.
+//
 // Under ASan+UBSan (ctest label `fuzz`) a read outside a file fails the run.
 // The mutation sequences are fixed by the seed; each loop is time-boxed, so
 // a slow (sanitized) build covers a prefix of the same sequence.
@@ -26,8 +31,10 @@
 
 #include "common/crc32c.h"
 #include "common/env.h"
+#include "storage/key.h"
 #include "storage/lsm/manifest.h"
 #include "storage/lsm/wal.h"
+#include "storage/lsm_store.h"
 #include "tests/test_util.h"
 
 namespace k2 {
@@ -217,6 +224,70 @@ TEST(WalFuzzTest, ReplayDeliversTheLongestValidPrefix) {
   EXPECT_LT(shortened, static_cast<size_t>(iterations));
 }
 
+/// A checksummed WAL record holding one row, framed as LsmStore logs it:
+/// [u8 type = 1][u32 count][count * (u64 key, f64 x, f64 y)].
+std::string RowFrame(Timestamp t, ObjectId oid) {
+  std::string payload(1, '\1');
+  const uint32_t count = 1;
+  const uint64_t key = MakeKey(t, oid);
+  const double xy = 0.5;
+  payload.append(reinterpret_cast<const char*>(&count), 4);
+  payload.append(reinterpret_cast<const char*>(&key), 8);
+  payload.append(reinterpret_cast<const char*>(&xy), 8);
+  payload.append(reinterpret_cast<const char*>(&xy), 8);
+  std::string frame;
+  AppendFrame(&frame, payload);
+  return frame;
+}
+
+/// Appends `frame` to the store's live WAL segment, the one recovery
+/// replays last.
+void AppendToLiveWal(const std::string& dir, const std::string& frame) {
+  auto manifest = lsm::ReadManifest(Env::Default(), dir);
+  K2_CHECK(manifest.ok() && !manifest.value().live_wals.empty());
+  const std::string path =
+      dir + "/wal_" + std::to_string(manifest.value().live_wals.back()) +
+      ".log";
+  WriteFile(path, ReadFile(path) + frame);
+}
+
+TEST(WalFuzzTest, RecoveryRejectsRecordsWhoseKeysDoNotAscend) {
+  LsmStoreOptions options;
+  options.background_compaction = false;
+  // Tick 2 again after tick 3 in the memtable's own WAL, and tick 2 again
+  // below a flushed table's last key.
+  for (bool flushed : {false, true}) {
+    SCOPED_TRACE(flushed ? "below a table" : "within the WAL");
+    const std::string dir = ScratchDir("wal_order");
+    {
+      LsmStore store(dir, options);
+      for (Timestamp t = 0; t < 4; ++t) {
+        ASSERT_TRUE(store.Append(t, {{0, 1.0, 1.0}, {1, 2.0, 2.0}}).ok());
+      }
+      if (flushed) {
+        ASSERT_TRUE(store.Flush().ok());
+      }
+    }
+    AppendToLiveWal(dir, RowFrame(2, 1));
+    LsmStore reopened(dir, options);
+    EXPECT_EQ(reopened.init_status().code(), StatusCode::kInvalid);
+    EXPECT_NE(reopened.init_status().message().find(
+                  "wal record out of order"),
+              std::string::npos)
+        << reopened.init_status().ToString();
+  }
+  // The same frame one tick past the data replays as a row.
+  const std::string dir = ScratchDir("wal_order_ok");
+  {
+    LsmStore store(dir, options);
+    ASSERT_TRUE(store.Append(0, {{0, 1.0, 1.0}}).ok());
+  }
+  AppendToLiveWal(dir, RowFrame(1, 1));
+  LsmStore reopened(dir, options);
+  ASSERT_TRUE(reopened.init_status().ok()) << reopened.init_status().ToString();
+  EXPECT_EQ(reopened.timestamps(), (std::vector<Timestamp>{0, 1}));
+}
+
 // ---------------------------------------------------------------------------
 // MANIFEST
 
@@ -380,6 +451,43 @@ TEST(ManifestFuzzTest, DamagedManifestsFailCleanlyOrReadTrustworthy) {
   EXPECT_GT(iterations, 50);
   EXPECT_GT(accepted, 0);
   EXPECT_LT(accepted, iterations);
+}
+
+// Every key lives in one source, so recovery refuses a MANIFEST whose
+// tables overlap in key range — here a copy of a live table listed under a
+// second, otherwise valid name.
+TEST(ManifestFuzzTest, RecoveryRejectsTablesThatOverlap) {
+  const std::string dir = ScratchDir("manifest_overlap");
+  LsmStoreOptions options;
+  options.background_compaction = false;
+  {
+    LsmStore store(dir, options);
+    for (Timestamp t = 0; t < 10; ++t) {
+      ASSERT_TRUE(store.Append(t, {{0, 1.0, 1.0}}).ok());
+      if (t == 4 || t == 9) {
+        ASSERT_TRUE(store.Flush().ok());
+      }
+    }
+    ASSERT_EQ(store.num_sstables(), 2u);
+  }
+  // Key-disjoint tables, listed as they are, reopen fine.
+  { ASSERT_TRUE(LsmStore(dir, options).init_status().ok()); }
+  auto read = lsm::ReadManifest(Env::Default(), dir);
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  lsm::ManifestState state = read.MoveValue();
+  lsm::ManifestTable copy = state.tables.front();
+  copy.seq = state.next_seq++;
+  copy.file = "sstable_" + std::to_string(copy.seq) + ".sst";
+  WriteFile(dir + "/" + copy.file,
+            ReadFile(dir + "/" + state.tables.front().file));
+  state.tables.push_back(copy);
+  ASSERT_TRUE(lsm::WriteManifest(Env::Default(), dir, state).ok());
+
+  LsmStore reopened(dir, options);
+  EXPECT_EQ(reopened.init_status().code(), StatusCode::kInvalid);
+  EXPECT_NE(reopened.init_status().message().find("manifest tables overlap"),
+            std::string::npos)
+      << reopened.init_status().ToString();
 }
 
 }  // namespace
