@@ -29,8 +29,9 @@ std::vector<SnapshotPoint> RandomSnapshot(size_t n, double area,
 
 void BM_DbscanSnapshot(benchmark::State& state) {
   const auto pts = RandomSnapshot(static_cast<size_t>(state.range(0)), 1000.0, 7);
+  DbscanScratch scratch;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(Dbscan(pts, 15.0, 3));
+    benchmark::DoNotOptimize(Dbscan(pts, 15.0, 3, &scratch));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }

@@ -1,12 +1,11 @@
 #!/usr/bin/env bash
 # Runs the perf-snapshot benches (Fig. 8i phase breakdown, Fig. 8l
 # scalability, streaming ingest, partitioned shard sweep, catalog serving,
-# coordinate-free proximity mining, SIMD kernel microbenches) in --json
-# mode and merges their records into one snapshot file, so MineK2Hop's
-# end-to-end wall time, the online miner's amortized per-tick cost, the
-# sharded miner's seam behaviour, the ConvoyCatalog's queries/sec, the
-# graph-clusterer path, and the kernel-layer speedups are tracked PR over
-# PR.
+# coordinate-free proximity mining) in --json mode and merges their records
+# into one snapshot file, so MineK2Hop's end-to-end wall time, the online
+# miner's amortized per-tick cost, the sharded miner's seam behaviour, the
+# ConvoyCatalog's queries/sec and the graph-clusterer path are tracked PR
+# over PR.
 #
 # Usage: scripts/bench_snapshot.sh [output.json]
 #   BUILD_DIR       build tree with the bench binaries (default: build)
@@ -20,17 +19,12 @@ SCALE=${K2_BENCH_SCALE:-1}
 
 for bench in bench_fig8i_phases bench_fig8l_scalability bench_streaming \
              bench_partitioned bench_serving bench_serving_net \
-             bench_proximity bench_kernels; do
+             bench_proximity; do
   if [[ ! -x "$BUILD_DIR/bench/$bench" ]]; then
     echo "error: $BUILD_DIR/bench/$bench not found; build with -DK2_BUILD_BENCH=ON" >&2
     exit 1
   fi
 done
-
-# Record the kernel dispatch level alongside the numbers it produced.
-if [[ -x "$BUILD_DIR/src/k2_simd_info" ]]; then
-  "$BUILD_DIR/src/k2_simd_info"
-fi
 
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
@@ -42,9 +36,8 @@ K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_partitioned" --json "$tmp/partitio
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_serving" --json "$tmp/serving.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_serving_net" --json "$tmp/serving_net.json"
 K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_proximity" --json "$tmp/proximity.json"
-K2_BENCH_SCALE=$SCALE "$BUILD_DIR/bench/bench_kernels" --json "$tmp/kernels.json"
 
-python3 - "$OUT" "$SCALE" "$tmp"/fig8i.json "$tmp"/fig8l.json "$tmp"/streaming.json "$tmp"/partitioned.json "$tmp"/serving.json "$tmp"/serving_net.json "$tmp"/proximity.json "$tmp"/kernels.json <<'EOF'
+python3 - "$OUT" "$SCALE" "$tmp"/fig8i.json "$tmp"/fig8l.json "$tmp"/streaming.json "$tmp"/partitioned.json "$tmp"/serving.json "$tmp"/serving_net.json "$tmp"/proximity.json <<'EOF'
 import datetime
 import json
 import platform

@@ -82,9 +82,6 @@ run_build_and_smoke() {
   local build_dir="${1:-build-ci}"
   cmake -B "$build_dir" -S . -DCMAKE_BUILD_TYPE=Release "${LAUNCHER_ARGS[@]}"
   cmake --build "$build_dir" -j "$JOBS"
-  # Record which kernel implementations this run dispatches to (the K2_SIMD
-  # env var caps the level; see src/common/simd.h).
-  "$build_dir/src/k2_simd_info"
   ctest --test-dir "$build_dir" -L smoke --output-on-failure -j "$JOBS"
 }
 

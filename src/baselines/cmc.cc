@@ -7,8 +7,9 @@
 namespace k2 {
 
 ClustersAtFn StoreClustersFn(Store* store, const MiningParams& params) {
-  return [store, params](Timestamp t, std::vector<ObjectSet>* out) -> Status {
-    K2_ASSIGN_OR_RETURN(*out, ClusterSnapshot(store, t, params));
+  return [store, params, scratch = SnapshotScratch()](
+             Timestamp t, std::vector<ObjectSet>* out) mutable -> Status {
+    K2_ASSIGN_OR_RETURN(*out, ClusterSnapshot(store, t, params, &scratch));
     return Status::OK();
   };
 }

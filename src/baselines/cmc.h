@@ -16,7 +16,8 @@
 namespace k2 {
 
 /// Builds a ClustersAtFn that scans + clusters snapshots of `store`. The
-/// store reference must outlive the returned callable.
+/// store reference must outlive the returned callable, which owns its
+/// clustering scratch (one copy serves one thread at a time).
 ClustersAtFn StoreClustersFn(Store* store, const MiningParams& params);
 
 /// Original CMC. Carries its published recall bug: a cluster that extended

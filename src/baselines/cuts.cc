@@ -135,6 +135,7 @@ Result<std::vector<Convoy>> MineCuts(Store* store, const MiningParams& params,
 
   // Refine: per-tick sweep over the frame's surviving objects only.
   sw.Restart();
+  DbscanScratch scratch;
   auto clusters_at = [&](Timestamp t, std::vector<ObjectSet>* out) -> Status {
     out->clear();
     const int64_t f = (t - range.start) / lambda;
@@ -143,7 +144,7 @@ Result<std::vector<Convoy>> MineCuts(Store* store, const MiningParams& params,
     std::vector<SnapshotPoint> pts;
     K2_RETURN_NOT_OK(
         store->GetPoints(t, ObjectSet::FromSorted(survivors), &pts));
-    *out = Dbscan(pts, params.eps, params.m);
+    *out = Dbscan(pts, params.eps, params.m, &scratch);
     return Status::OK();
   };
   SweepOptions sweep;

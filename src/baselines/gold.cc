@@ -42,6 +42,7 @@ std::vector<TickLabels> FullClusterLabels(const Dataset& dataset,
 
   std::vector<TickLabels> out(static_cast<size_t>(range.length()));
   std::vector<SnapshotPoint> points;
+  DbscanScratch scratch;
   // 64-bit cursor: ++ past a range ending at INT32_MAX must not wrap.
   for (int64_t tick = range.start; tick <= range.end; ++tick) {
     const auto t = static_cast<Timestamp>(tick);
@@ -52,7 +53,7 @@ std::vector<TickLabels> FullClusterLabels(const Dataset& dataset,
       points.push_back(SnapshotPoint{rec.oid, rec.x, rec.y});
     }
     const std::vector<ObjectSet> clusters =
-        Dbscan(points, params.eps, params.m);
+        Dbscan(points, params.eps, params.m, &scratch);
     for (size_t c = 0; c < clusters.size(); ++c) {
       for (ObjectId oid : clusters[c]) {
         labels.label[position.at(oid)] = static_cast<int32_t>(c);
@@ -132,6 +133,7 @@ std::vector<Convoy> GoldFullyConnectedConvoys(const Dataset& dataset,
   const uint32_t limit = 1u << universe.size();
   std::vector<bool> ok(static_cast<size_t>(range.length()));
   std::vector<SnapshotPoint> subset_points;
+  DbscanScratch scratch;
   for (uint32_t mask = 0; mask < limit; ++mask) {
     if (std::popcount(mask) < params.m) continue;
     const ObjectSet objects = MaskToSet(mask, universe);
@@ -160,7 +162,7 @@ std::vector<Convoy> GoldFullyConnectedConvoys(const Dataset& dataset,
         }
       }
       const std::vector<ObjectSet> clusters =
-          Dbscan(subset_points, params.eps, params.m);
+          Dbscan(subset_points, params.eps, params.m, &scratch);
       ok[ti] = clusters.size() == 1 && clusters[0] == objects;
     }
     EmitRuns(ok, objects, range, params.k, &found);

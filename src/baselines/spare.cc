@@ -118,10 +118,12 @@ Result<std::vector<Convoy>> MineSpare(Store* store, const MiningParams& params,
   {
     std::atomic<size_t> next{0};
     auto cluster_worker = [&]() {
+      DbscanScratch scratch;
       for (;;) {
         const size_t i = next.fetch_add(1);
         if (i >= ticks.size()) return;
-        labels[i] = DbscanLabelled(snapshots[i], params.eps, params.m);
+        DbscanLabelled(snapshots[i], params.eps, params.m, &scratch,
+                       &labels[i]);
       }
     };
     std::vector<std::thread> pool;

@@ -10,12 +10,13 @@ namespace k2 {
 
 ClustersAtFn DatasetClustersFn(const Dataset* dataset,
                                const MiningParams& params) {
-  return [dataset, params](Timestamp t, std::vector<ObjectSet>* out) -> Status {
+  return [dataset, params, scratch = DbscanScratch()](
+             Timestamp t, std::vector<ObjectSet>* out) mutable -> Status {
     std::vector<SnapshotPoint> points;
     for (const PointRecord& rec : dataset->Snapshot(t)) {
       points.push_back(SnapshotPoint{rec.oid, rec.x, rec.y});
     }
-    *out = Dbscan(points, params.eps, params.m);
+    *out = Dbscan(points, params.eps, params.m, &scratch);
     return Status::OK();
   };
 }

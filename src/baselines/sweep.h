@@ -25,7 +25,8 @@ using ClustersAtFn =
 class Dataset;
 
 /// ClustersAtFn over an in-memory dataset (no store IO). The dataset must
-/// outlive the callable; safe for concurrent use from several threads.
+/// outlive the callable. The callable owns its clustering scratch, so one
+/// copy serves one thread at a time.
 ClustersAtFn DatasetClustersFn(const Dataset* dataset,
                                const MiningParams& params);
 

@@ -6,8 +6,9 @@
 // substrate:
 //
 //   GeometricClusterer      point-radius DBSCAN over (x, y) coordinates —
-//                           the paper's Def. 2 and the default. GridIndex +
-//                           SIMD eps-scan fast path, unchanged.
+//                           the paper's Def. 2 and the default: a GridIndex
+//                           for large snapshots, a brute-force scan for the
+//                           small restricted re-clusterings.
 //   CoLocationGraphClusterer / EpsGraphClusterer (cluster/graph_clusterer.h)
 //                           graph DBSCAN over proximity pairs — the
 //                           coordinate-free workload.

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "common/simd.h"
-
 namespace k2 {
 
 namespace {
@@ -14,24 +12,15 @@ namespace {
 // them).
 constexpr size_t kBruteForceThreshold = 32;
 
-// Brute-force region query over the scratch's SoA mirror, through the same
-// dispatched eps-scan kernel as the grid path. The kernel needs room for
-// all n candidates (compress-store slack), so the vector is grown to the
-// upper bound and trimmed to the matches written.
-void BruteForceNeighbors(const DbscanScratch& scratch, double qx, double qy,
-                         double eps, std::vector<uint32_t>* out) {
-  const size_t n = scratch.bf_ids.size();
-  const size_t written = out->size();
-  out->resize(written + n);
-  const size_t cnt = simd::Active().eps_scan(
-      scratch.bf_xs.data(), scratch.bf_ys.data(), scratch.bf_ids.data(), n,
-      qx, qy, eps * eps, out->data() + written);
-  out->resize(written + cnt);
-}
-
-DbscanScratch* ThreadLocalScratch() {
-  static thread_local DbscanScratch scratch;
-  return &scratch;
+// Brute-force region query: one distance test per snapshot point.
+void BruteForceNeighbors(std::span<const SnapshotPoint> points, double qx,
+                         double qy, double eps, std::vector<uint32_t>* out) {
+  const double eps2 = eps * eps;
+  for (size_t j = 0; j < points.size(); ++j) {
+    const double dx = points[j].x - qx;
+    const double dy = points[j].y - qy;
+    if (dx * dx + dy * dy <= eps2) out->push_back(static_cast<uint32_t>(j));
+  }
 }
 
 // Shared worker: labels every point into scratch->labels (reused storage).
@@ -47,22 +36,13 @@ void RunDbscan(std::span<const SnapshotPoint> points, double eps, int min_pts,
     // Cell size = eps keeps every eps region query inside the GridIndex
     // contract (queries are only valid for eps <= the Build() cell size).
     scratch->grid.Build(points, eps);
-  } else {
-    scratch->bf_xs.resize(n);
-    scratch->bf_ys.resize(n);
-    scratch->bf_ids.resize(n);
-    for (size_t j = 0; j < n; ++j) {
-      scratch->bf_xs[j] = points[j].x;
-      scratch->bf_ys[j] = points[j].y;
-      scratch->bf_ids[j] = static_cast<uint32_t>(j);
-    }
   }
   auto region_query = [&](size_t i, std::vector<uint32_t>* nbrs) {
     nbrs->clear();
     if (use_grid) {
       scratch->grid.Neighbors(i, eps, nbrs);
     } else {
-      BruteForceNeighbors(*scratch, points[i].x, points[i].y, eps, nbrs);
+      BruteForceNeighbors(points, points[i].x, points[i].y, eps, nbrs);
     }
   };
   // Batched region query: fills flat CSR neighbor lists for a whole slice
@@ -79,7 +59,7 @@ void RunDbscan(std::span<const SnapshotPoint> points, double eps, int min_pts,
     offsets->clear();
     offsets->push_back(0);
     for (const uint32_t q : queries) {
-      BruteForceNeighbors(*scratch, points[q].x, points[q].y, eps, flat);
+      BruteForceNeighbors(points, points[q].x, points[q].y, eps, flat);
       offsets->push_back(static_cast<uint32_t>(flat->size()));
     }
   };
@@ -165,11 +145,6 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
   return LabelsToClusters(points, scratch->labels, min_pts, scratch);
 }
 
-std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
-                              double eps, int min_pts) {
-  return Dbscan(points, eps, min_pts, ThreadLocalScratch());
-}
-
 std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
                                     const ObjectSet& subset, double eps,
                                     int min_pts, DbscanScratch* scratch) {
@@ -181,22 +156,9 @@ std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
   return Dbscan(filtered, eps, min_pts, scratch);
 }
 
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
-                                    int min_pts) {
-  return DbscanSubset(points, subset, eps, min_pts, ThreadLocalScratch());
-}
-
 void DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
                     int min_pts, DbscanScratch* scratch, DbscanLabels* out) {
   RunDbscan(points, eps, min_pts, scratch, out);
-}
-
-DbscanLabels DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
-                            int min_pts) {
-  DbscanLabels out;
-  RunDbscan(points, eps, min_pts, ThreadLocalScratch(), &out);
-  return out;
 }
 
 }  // namespace k2

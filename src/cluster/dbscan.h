@@ -3,12 +3,11 @@
 // in its eps-neighbourhood (Sec. 3.1), matching the original DBSCAN minPts
 // convention used by all convoy papers.
 //
-// Every entry point has a DbscanScratch overload: the scratch owns all
+// Every entry point takes a caller-owned DbscanScratch: it owns all
 // working state (grid index, visited bytes, seed queue, neighbor buffer,
 // label array), so repeated clusterings through one scratch — the per-tick
 // re-clusterings that dominate HWMT / extension / validation — allocate
-// nothing in steady state. The scratch-free overloads reuse a thread-local
-// scratch and are therefore equally allocation-free after warm-up.
+// nothing in steady state.
 #ifndef K2_CLUSTER_DBSCAN_H_
 #define K2_CLUSTER_DBSCAN_H_
 
@@ -44,17 +43,11 @@ struct DbscanScratch {
   std::vector<uint32_t> batch;
   std::vector<uint32_t> nbr_flat;
   std::vector<uint32_t> nbr_offsets;
-  // SoA mirror of small snapshots so the brute-force region query runs the
-  // same dispatched eps-scan kernel as the grid path.
-  std::vector<double> bf_xs, bf_ys;
-  std::vector<uint32_t> bf_ids;
 };
 
 /// Clusters the snapshot and returns the (m,eps)-clusters as object-id sets
 /// in canonical (lexicographic) order. Border points are attached to the
 /// first cluster whose core reaches them, per the original DBSCAN.
-std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
-                              double eps, int min_pts);
 std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
                               double eps, int min_pts,
                               DbscanScratch* scratch);
@@ -63,14 +56,9 @@ std::vector<ObjectSet> Dbscan(std::span<const SnapshotPoint> points,
 /// (the reCluster(DB[t]|O) primitive of Algorithm 2 / Sec. 4.3).
 std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
                                     const ObjectSet& subset, double eps,
-                                    int min_pts);
-std::vector<ObjectSet> DbscanSubset(std::span<const SnapshotPoint> points,
-                                    const ObjectSet& subset, double eps,
                                     int min_pts, DbscanScratch* scratch);
 
-DbscanLabels DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
-                            int min_pts);
-/// Zero-alloc variant: labels land in `out` (storage reused across calls).
+/// Labels every point; labels land in `out` (storage reused across calls).
 void DbscanLabelled(std::span<const SnapshotPoint> points, double eps,
                     int min_pts, DbscanScratch* scratch, DbscanLabels* out);
 

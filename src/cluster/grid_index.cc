@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/check.h"
-#include "common/simd.h"
 
 namespace k2 {
 
@@ -112,23 +111,17 @@ void GridIndex::NeighborsOf(double x, double y, double eps,
   if (x0 > x1 || y0 > y1) return;
 
   const double eps2 = eps * eps;
-  const auto& kernels = simd::Active();
   for (int64_t ry = y0; ry <= y1; ++ry) {
     // The row's three cells are adjacent in the row-major layout: one
-    // contiguous segment of the CSR arrays per row, handed to the
-    // dispatched eps-scan kernel as a unit. The kernel needs room for the
-    // whole segment (compress-store slack), so the vector is grown to the
-    // upper bound and trimmed to the matches written.
+    // contiguous segment of the CSR arrays per row.
     const size_t base = static_cast<size_t>(ry * nx_);
     const uint32_t lo = cell_starts_[base + static_cast<size_t>(x0)];
     const uint32_t hi = cell_starts_[base + static_cast<size_t>(x1) + 1];
-    if (lo == hi) continue;
-    const size_t written = out->size();
-    out->resize(written + (hi - lo));
-    const size_t cnt = kernels.eps_scan(xs_.data() + lo, ys_.data() + lo,
-                                        point_ids_.data() + lo, hi - lo, x, y,
-                                        eps2, out->data() + written);
-    out->resize(written + cnt);
+    for (uint32_t j = lo; j < hi; ++j) {
+      const double dx = xs_[j] - x;
+      const double dy = ys_[j] - y;
+      if (dx * dx + dy * dy <= eps2) out->push_back(point_ids_[j]);
+    }
   }
 }
 

@@ -7,8 +7,7 @@
 // counting-sorted into cells (`cell_starts_` / `point_ids_`), cells are
 // row-major with x as the minor dimension, and coordinates are kept as
 // structure-of-arrays (`xs_` / `ys_`) in CSR order. A region query scans
-// three contiguous row segments — no hashing, no per-cell vectors, and the
-// inner distance loop vectorizes.
+// three contiguous row segments — no hashing, no per-cell vectors.
 #ifndef K2_CLUSTER_GRID_INDEX_H_
 #define K2_CLUSTER_GRID_INDEX_H_
 

@@ -20,20 +20,15 @@ namespace k2 {
 /// Scans the full snapshot at `t` and returns its clusters under
 /// `params` (for the default geometric clusterer: the (m,eps)-clusters).
 ///
-/// The scratch overloads reuse `scratch` across calls (allocation-free in
-/// steady state). Store implementations are not thread-safe: concurrent
-/// callers each pass their own CreateReadSnapshot() handle and scratch.
-Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
-                                               const MiningParams& params);
+/// `scratch` is reused across calls (allocation-free in steady state).
+/// Store implementations are not thread-safe: concurrent callers each pass
+/// their own CreateReadSnapshot() handle and scratch.
 Result<std::vector<ObjectSet>> ClusterSnapshot(Store* store, Timestamp t,
                                                const MiningParams& params,
                                                SnapshotScratch* scratch);
 
 /// reCluster(DB[t]|O): fetches only the points of `objects` at `t` (random
 /// point reads) and clusters them. This is the pruned access path.
-Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
-                                         const ObjectSet& objects,
-                                         const MiningParams& params);
 Result<std::vector<ObjectSet>> ReCluster(Store* store, Timestamp t,
                                          const ObjectSet& objects,
                                          const MiningParams& params,

@@ -1,14 +1,97 @@
 #include "common/crc32c.h"
 
+#include <array>
+#include <cstring>
+
 #include "common/simd.h"
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#define K2_CRC32C_X86 1
+#include <immintrin.h>
+#else
+#define K2_CRC32C_X86 0
+#endif
 
 namespace k2 {
 
-uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
-  // The scalar table-driven implementation lives in simd.cc as the dispatch
-  // fallback and differential oracle; SSE4.2 machines get the crc32
-  // instruction with 3-way stream interleave.
-  return simd::Active().crc32c(data, n, seed);
+namespace {
+
+#if K2_CRC32C_X86
+// One sequential crc32 stream, 8 bytes per instruction: interleaving
+// several streams measured no faster on the WAL append path.
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t n,
+                                                       uint32_t seed) {
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint64_t c = ~seed;
+  for (; n >= 8; p += 8, n -= 8) {
+    uint64_t w = 0;
+    std::memcpy(&w, p, 8);
+    c = _mm_crc32_u64(c, w);
+  }
+  auto c32 = static_cast<uint32_t>(c);
+  for (; n > 0; ++p, --n) c32 = _mm_crc32_u8(c32, *p);
+  return ~c32;
 }
+#endif
+
+simd::Level DetectLevel() {
+#if K2_CRC32C_X86
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("sse4.2")) return simd::Level::kSse42;
+#endif
+  return simd::Level::kScalar;
+}
+
+}  // namespace
+
+uint32_t Crc32cPortable(const void* data, size_t n, uint32_t seed) {
+  static const auto table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t c = i;
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1) ? (0x82F63B78u ^ (c >> 1)) : (c >> 1);
+      }
+      t[i] = c;
+    }
+    return t;
+  }();
+  const auto* p = static_cast<const uint8_t*>(data);
+  uint32_t c = ~seed;
+  for (size_t i = 0; i < n; ++i) {
+    c = table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
+  }
+  return ~c;
+}
+
+uint32_t Crc32c(const void* data, size_t n, uint32_t seed) {
+#if K2_CRC32C_X86
+  static const auto fn =
+      DetectLevel() == simd::Level::kSse42 ? &Crc32cSse42 : &Crc32cPortable;
+  return fn(data, n, seed);
+#else
+  return Crc32cPortable(data, n, seed);
+#endif
+}
+
+namespace simd {
+
+const char* LevelName(Level level) {
+  switch (level) {
+    case Level::kScalar:
+      return "scalar";
+    case Level::kSse42:
+      return "sse42";
+  }
+  return "unknown";
+}
+
+Level ActiveLevel() {
+  static const Level level = DetectLevel();
+  return level;
+}
+
+}  // namespace simd
 
 }  // namespace k2

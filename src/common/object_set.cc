@@ -2,9 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 #include <sstream>
-
-#include "common/simd.h"
 
 namespace k2 {
 
@@ -30,18 +29,16 @@ bool ObjectSet::Contains(ObjectId oid) const {
 }
 
 bool ObjectSet::IsSubsetOf(const ObjectSet& other) const {
-  return simd::Active().is_subset(ids_.data(), ids_.size(), other.ids_.data(),
-                                  other.ids_.size());
+  return size() <= other.size() &&
+         std::includes(other.ids_.begin(), other.ids_.end(), ids_.begin(),
+                       ids_.end());
 }
 
 ObjectSet ObjectSet::Intersect(const ObjectSet& a, const ObjectSet& b) {
-  // min(na, nb) result entries plus the kernel's compress-store slack.
-  std::vector<ObjectId> out(std::min(a.size(), b.size()) +
-                            simd::kMaxLaneSlack);
-  const size_t n = simd::Active().intersect(a.ids_.data(), a.size(),
-                                            b.ids_.data(), b.size(),
-                                            out.data());
-  out.resize(n);
+  std::vector<ObjectId> out;
+  out.reserve(std::min(a.size(), b.size()));
+  std::set_intersection(a.ids_.begin(), a.ids_.end(), b.ids_.begin(),
+                        b.ids_.end(), std::back_inserter(out));
   return FromSorted(std::move(out));
 }
 
@@ -62,8 +59,20 @@ ObjectSet ObjectSet::Difference(const ObjectSet& a, const ObjectSet& b) {
 }
 
 size_t ObjectSet::IntersectionSize(const ObjectSet& a, const ObjectSet& b) {
-  return simd::Active().intersect_size(a.ids_.data(), a.size(), b.ids_.data(),
-                                       b.size());
+  // A merge walk, like std::set_intersection, that only counts.
+  size_t i = 0, j = 0, count = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a.ids_[i] < b.ids_[j]) {
+      ++i;
+    } else if (b.ids_[j] < a.ids_[i]) {
+      ++j;
+    } else {
+      ++count;
+      ++i;
+      ++j;
+    }
+  }
+  return count;
 }
 
 std::string ObjectSet::DebugString() const {

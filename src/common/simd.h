@@ -1,103 +1,24 @@
-// Runtime-dispatched SIMD kernel layer for the library's three hottest inner
-// loops: the SoA eps-distance scan behind every DBSCAN region query, the
-// sorted-set intersection behind the Sec. 4.2 candidate pruning, and the
-// CRC-32C guarding every durable byte of the LSM write path.
-//
-// Dispatch model: the CPU is probed once (first use), picking the widest
-// implementation the hardware supports — AVX2, then SSE4.2, then portable
-// scalar. The `K2_SIMD` environment variable (`scalar`, `sse42`, `avx2`)
-// caps the choice below the hardware maximum, which is how CI forces the
-// fallback paths and how bench runs are made attributable.
-//
-// The scalar-oracle rule: every kernel keeps its portable scalar
-// implementation in the dispatch table (`At(Level::kScalar)`), and a SIMD
-// variant must be *byte-identical* to it on every input — not "close", not
-// "equivalent up to order". tests/simd_test.cc enforces this with
-// randomized property suites across unaligned bases, all tail lengths and
-// adversarial set shapes; the differential miner suites then prove convoy
-// output is unchanged at every dispatch level. To add a kernel: add the
-// function pointer here, implement scalar first, wire it into every level's
-// table in simd.cc (higher levels may reuse lower ones), then extend the
-// property suite.
+// Reports which CRC-32C implementation this process runs. CRC-32C
+// (common/crc32c.h) is the library's one hardware-specific kernel: on x86-64
+// CPUs with SSE4.2 it runs the `crc32` instruction, everywhere else the
+// table-driven software loop. The set algebra and the DBSCAN eps-scan are
+// plain scalar loops on every machine.
 #ifndef K2_COMMON_SIMD_H_
 #define K2_COMMON_SIMD_H_
 
-#include <cstddef>
-#include <cstdint>
-
 namespace k2::simd {
 
-/// Instruction-set levels in strictly increasing capability order. Every
-/// level's table is fully populated (lower-level or scalar entries fill the
-/// gaps), so callers never see a null kernel.
+/// The CRC-32C path: the software table loop or the SSE4.2 instruction.
 enum class Level : int {
   kScalar = 0,
   kSse42 = 1,
-  kAvx2 = 2,
 };
 
-/// Widest compress-store lane group any kernel uses (AVX2, 8 x u32). The
-/// intersect kernel may clobber up to this many entries past the returned
-/// count — a partially matched block is re-stored from a fresh base as the
-/// other side advances — so its out buffer needs this much slack beyond
-/// min(na, nb).
-inline constexpr size_t kMaxLaneSlack = 8;
-
-/// The dispatch table. All kernels are pure functions of their arguments —
-/// no hidden state — so tables can be compared against each other freely.
-struct Kernels {
-  /// Appends to `out` the ids of all points within sqrt(eps2) of (qx, qy):
-  /// for each j in [0, n) with (xs[j]-qx)^2 + (ys[j]-qy)^2 <= eps2, writes
-  /// ids[j]. Returns the number of ids written, in increasing j order.
-  /// `out` must have room for n entries: vector kernels compress-store a
-  /// full lane group, so up to one lane width of slack past the written
-  /// count is clobbered (never past out + n).
-  size_t (*eps_scan)(const double* xs, const double* ys, const uint32_t* ids,
-                     size_t n, double qx, double qy, double eps2,
-                     uint32_t* out);
-
-  /// Intersection of two sorted duplicate-free u32 arrays into `out`
-  /// (sorted, unique). Returns the output size (always <= min(na, nb)).
-  /// `out` must have room for min(na, nb) + kMaxLaneSlack entries — see
-  /// kMaxLaneSlack for why the slack is not optional.
-  size_t (*intersect)(const uint32_t* a, size_t na, const uint32_t* b,
-                      size_t nb, uint32_t* out);
-
-  /// |a ∩ b| without materializing it.
-  size_t (*intersect_size)(const uint32_t* a, size_t na, const uint32_t* b,
-                           size_t nb);
-
-  /// True iff every element of `a` occurs in `b` (both sorted, unique).
-  bool (*is_subset)(const uint32_t* a, size_t na, const uint32_t* b,
-                    size_t nb);
-
-  /// CRC-32C (Castagnoli) of `n` bytes, continuing from `seed` (0 = fresh;
-  /// a previous return value extends the stream).
-  uint32_t (*crc32c)(const void* data, size_t n, uint32_t seed);
-};
-
-/// Human-readable level name ("scalar", "sse42", "avx2").
+/// Human-readable level name ("scalar", "sse42").
 const char* LevelName(Level level);
 
-/// True when this machine can run `level` (scalar is always supported).
-bool Supported(Level level);
-
-/// The widest level the CPU supports, ignoring the K2_SIMD override.
-Level MaxSupportedLevel();
-
-/// The level Active() dispatches to: min(MaxSupportedLevel, K2_SIMD cap).
-/// Decided once, on first call; an unknown K2_SIMD value warns on stderr
-/// and falls back to auto-detection.
+/// The CRC-32C path this process runs, decided once from the CPU.
 Level ActiveLevel();
-
-/// The dispatched kernel table for this process. Stable for the process
-/// lifetime; cheap to call repeatedly.
-const Kernels& Active();
-
-/// The kernel table of a specific supported level — the hook the property
-/// tests use to pit every implementation against the scalar oracle.
-/// Requires Supported(level).
-const Kernels& At(Level level);
 
 }  // namespace k2::simd
 

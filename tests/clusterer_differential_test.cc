@@ -129,11 +129,12 @@ TEST_P(ClustererGeoDifferentialTest, PerSnapshotThreeWayAgreement) {
   for (Timestamp t : data.timestamps()) {
     const std::vector<SnapshotPoint> points = SnapshotPoints(data, t);
     const std::vector<ObjectSet> dbscan =
-        Dbscan(points, params.eps, params.m);
+        Dbscan(points, params.eps, params.m, &scratch.dbscan);
     EXPECT_EQ(EpsGraphClusters(points, params.eps, params.m, &scratch),
               dbscan)
         << "epsgraph tick " << t;
-    auto via_log = ClusterSnapshot(presence_store.get(), t, graph_params);
+    auto via_log =
+        ClusterSnapshot(presence_store.get(), t, graph_params, &scratch);
     ASSERT_TRUE(via_log.ok());
     EXPECT_EQ(via_log.value(), dbscan) << "colocation tick " << t;
   }

@@ -77,13 +77,14 @@ TEST(ClustererDispatchTest, ParamsClustererWins) {
   const FixedClusterer fixed({ObjectSet::Of({7, 8, 9})});
   MiningParams params;
   params.clusterer = &fixed;
+  SnapshotScratch scratch;
 
-  auto clusters = ClusterSnapshot(store.get(), 0, params);
+  auto clusters = ClusterSnapshot(store.get(), 0, params, &scratch);
   ASSERT_TRUE(clusters.ok());
   ASSERT_EQ(clusters.value().size(), 1u);
   EXPECT_EQ(clusters.value()[0], ObjectSet::Of({7, 8, 9}));
 
-  auto re = ReCluster(store.get(), 0, ObjectSet::Of({1}), params);
+  auto re = ReCluster(store.get(), 0, ObjectSet::Of({1}), params, &scratch);
   ASSERT_TRUE(re.ok());
   EXPECT_EQ(re.value()[0], ObjectSet::Of({7, 8, 9}));
 }
@@ -109,11 +110,13 @@ TEST(ClustererDispatchTest, GeometricThroughSeamMatchesDirectDbscan) {
   const GeometricClusterer geometric;
   MiningParams params{3, 2, 9.0};
   params.clusterer = &geometric;
+  SnapshotScratch scratch;
   for (Timestamp t : data.timestamps()) {
-    auto via_seam = ClusterSnapshot(store.get(), t, params);
+    auto via_seam = ClusterSnapshot(store.get(), t, params, &scratch);
     ASSERT_TRUE(via_seam.ok());
     std::vector<SnapshotPoint> points = SnapshotPoints(data, t);
-    EXPECT_EQ(via_seam.value(), Dbscan(points, params.eps, params.m))
+    EXPECT_EQ(via_seam.value(),
+              Dbscan(points, params.eps, params.m, &scratch.dbscan))
         << "tick " << t;
   }
 }
@@ -217,7 +220,7 @@ TEST(EpsGraphClustererTest, MatchesDbscanBruteForceAndGridPaths) {
         const auto points = RandomSnapshot(seed, n, 100.0);
         const double eps = 8.0;
         EXPECT_EQ(EpsGraphClusters(points, eps, min_pts, &scratch),
-                  Dbscan(points, eps, min_pts))
+                  Dbscan(points, eps, min_pts, &scratch.dbscan))
             << "n=" << n << " seed=" << seed << " min_pts=" << min_pts;
       }
     }
@@ -239,13 +242,14 @@ TEST(CoLocationClustererTest, ClustersPresenceStoreAgainstLogEdges) {
   const CoLocationGraphClusterer colocation(&log);
   MiningParams params{3, 2, /*eps=*/0.0};  // eps unused by this substrate
   params.clusterer = &colocation;
+  SnapshotScratch scratch;
 
-  auto t0 = ClusterSnapshot(store.get(), 0, params);
+  auto t0 = ClusterSnapshot(store.get(), 0, params, &scratch);
   ASSERT_TRUE(t0.ok());
   ASSERT_EQ(t0.value().size(), 1u);
   EXPECT_EQ(t0.value()[0], ObjectSet::Of({1, 2, 3}));
 
-  auto t1 = ClusterSnapshot(store.get(), 1, params);
+  auto t1 = ClusterSnapshot(store.get(), 1, params, &scratch);
   ASSERT_TRUE(t1.ok());
   EXPECT_TRUE(t1.value().empty());  // pair of 2 < m
 }
@@ -259,13 +263,16 @@ TEST(CoLocationClustererTest, ReClusterRestrictsEdgesToSubset) {
   const CoLocationGraphClusterer colocation(&log);
   MiningParams params{3, 2, 0.0};
   params.clusterer = &colocation;
+  SnapshotScratch scratch;
 
-  auto sub = ReCluster(store.get(), 0, ObjectSet::Of({1, 2, 3}), params);
+  auto sub =
+      ReCluster(store.get(), 0, ObjectSet::Of({1, 2, 3}), params, &scratch);
   ASSERT_TRUE(sub.ok());
   ASSERT_EQ(sub.value().size(), 1u);
   EXPECT_EQ(sub.value()[0], ObjectSet::Of({1, 2, 3}));
 
-  auto tiny = ReCluster(store.get(), 0, ObjectSet::Of({1, 4}), params);
+  auto tiny =
+      ReCluster(store.get(), 0, ObjectSet::Of({1, 4}), params, &scratch);
   ASSERT_TRUE(tiny.ok());
   EXPECT_TRUE(tiny.value().empty());
 }

@@ -1,8 +1,14 @@
-// Unit tests for src/common: ObjectSet algebra, Convoy/maximality, Status /
-// Result plumbing, RNG determinism, timers.
+// Unit tests for src/common: ObjectSet algebra, CRC-32C, Convoy/maximality,
+// Status / Result plumbing, RNG determinism, timers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <random>
+#include <string>
+
 #include "common/convoy.h"
+#include "common/crc32c.h"
 #include "common/object_set.h"
 #include "common/rng.h"
 #include "common/status.h"
@@ -90,6 +96,152 @@ TEST(ObjectSetTest, HashDiffersForDifferentSets) {
 TEST(ObjectSetTest, DebugString) {
   EXPECT_EQ(ObjectSet::Of({3, 1}).DebugString(), "{1, 3}");
   EXPECT_EQ(ObjectSet().DebugString(), "{}");
+}
+
+// Sorted duplicate-free draw of up to `max_size` values from [0, universe).
+std::vector<ObjectId> RandomIds(std::mt19937* rng, size_t max_size,
+                                ObjectId universe) {
+  std::uniform_int_distribution<size_t> size_dist(0, max_size);
+  std::uniform_int_distribution<ObjectId> value_dist(0, universe - 1);
+  std::vector<ObjectId> v(size_dist(*rng));
+  for (auto& x : v) x = value_dist(*rng);
+  std::sort(v.begin(), v.end());
+  v.erase(std::unique(v.begin(), v.end()), v.end());
+  return v;
+}
+
+struct SetCase {
+  std::vector<ObjectId> a, b;
+  std::string tag;
+};
+
+std::vector<SetCase> AdversarialSetCases(std::mt19937* rng) {
+  std::vector<SetCase> cases;
+  // Overlap-heavy: both drawn from a universe barely larger than the sets.
+  for (int it = 0; it < 120; ++it) {
+    cases.push_back(
+        {RandomIds(rng, 64, 80), RandomIds(rng, 64, 80), "overlap-heavy"});
+  }
+  // Sparse: large universe, occasional matches.
+  for (int it = 0; it < 80; ++it) {
+    cases.push_back(
+        {RandomIds(rng, 128, 1 << 20), RandomIds(rng, 128, 1 << 20), "sparse"});
+  }
+  // Disjoint by construction: a in even, b in odd values.
+  for (int it = 0; it < 40; ++it) {
+    SetCase c{RandomIds(rng, 64, 1000), RandomIds(rng, 64, 1000), "disjoint"};
+    for (auto& x : c.a) x *= 2;
+    for (auto& x : c.b) x = x * 2 + 1;
+    cases.push_back(std::move(c));
+  }
+  // Skewed sizes, both directions.
+  for (int it = 0; it < 40; ++it) {
+    cases.push_back(
+        {RandomIds(rng, 4, 1 << 16), RandomIds(rng, 2000, 1 << 16), "skew-ab"});
+    cases.push_back(
+        {RandomIds(rng, 2000, 1 << 16), RandomIds(rng, 4, 1 << 16), "skew-ba"});
+  }
+  // Nested by construction: a is a sample of b.
+  for (int it = 0; it < 60; ++it) {
+    SetCase c;
+    c.b = RandomIds(rng, 200, 4000);
+    std::uniform_int_distribution<int> keep(0, 2);
+    for (ObjectId x : c.b) {
+      if (keep(*rng) == 0) c.a.push_back(x);
+    }
+    c.tag = "nested";
+    cases.push_back(std::move(c));
+  }
+  // Near-nested: one element of a perturbed off b.
+  for (int it = 0; it < 60; ++it) {
+    SetCase c;
+    c.b = RandomIds(rng, 200, 4000);
+    for (size_t j = 0; j < c.b.size(); j += 2) c.a.push_back(c.b[j]);
+    if (!c.a.empty()) {
+      std::uniform_int_distribution<size_t> pick(0, c.a.size() - 1);
+      c.a[pick(*rng)] += 1;  // may or may not still be in b
+      std::sort(c.a.begin(), c.a.end());
+      c.a.erase(std::unique(c.a.begin(), c.a.end()), c.a.end());
+    }
+    c.tag = "near-nested";
+    cases.push_back(std::move(c));
+  }
+  // Equal, empty-vs-nonempty, both-empty, single elements.
+  const auto fixed = RandomIds(rng, 100, 1000);
+  cases.push_back({fixed, fixed, "equal"});
+  cases.push_back({{}, fixed, "empty-a"});
+  cases.push_back({fixed, {}, "empty-b"});
+  cases.push_back({{}, {}, "both-empty"});
+  cases.push_back({{42}, fixed, "singleton"});
+  return cases;
+}
+
+TEST(ObjectSetTest, AlgebraMatchesStdReference) {
+  std::mt19937 rng(789);
+  for (const SetCase& c : AdversarialSetCases(&rng)) {
+    const ObjectSet a = ObjectSet::FromSorted(c.a);
+    const ObjectSet b = ObjectSet::FromSorted(c.b);
+    std::vector<ObjectId> want;
+    std::set_intersection(c.a.begin(), c.a.end(), c.b.begin(), c.b.end(),
+                          std::back_inserter(want));
+    EXPECT_EQ(ObjectSet::Intersect(a, b).ids(), want) << c.tag;
+    EXPECT_EQ(ObjectSet::IntersectionSize(a, b), want.size()) << c.tag;
+    EXPECT_EQ(a.IsSubsetOf(b),
+              std::includes(c.b.begin(), c.b.end(), c.a.begin(), c.a.end()))
+        << c.tag;
+    EXPECT_EQ(b.IsSubsetOf(a),
+              std::includes(c.a.begin(), c.a.end(), c.b.begin(), c.b.end()))
+        << c.tag;
+  }
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C
+// ---------------------------------------------------------------------------
+
+TEST(CrcTest, KnownAnswers) {
+  // RFC 3720 test vector: CRC-32C of 32 zero bytes; "123456789" is the
+  // classic check value.
+  const uint8_t zeros[32] = {};
+  EXPECT_EQ(Crc32c(zeros, sizeof(zeros)), 0x8A9136AAu);
+  EXPECT_EQ(Crc32cPortable(zeros, sizeof(zeros)), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c("123456789", 9), 0xE3069283u);
+  EXPECT_EQ(Crc32cPortable("123456789", 9), 0xE3069283u);
+}
+
+// Crc32c runs the hardware instruction where the CPU has it; it must agree
+// with the software table loop on every length, aligned or not.
+TEST(CrcTest, MatchesPortableOnEveryLength) {
+  std::mt19937 rng(1);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<uint32_t> seed_dist;
+  std::vector<uint8_t> data(4100 + 8);
+  for (auto& x : data) x = static_cast<uint8_t>(byte(rng));
+  for (size_t n = 0; n <= 4100; ++n) {
+    const uint32_t seed = (n % 3 == 0) ? 0u : seed_dist(rng);
+    for (const size_t offset : {size_t{0}, 1 + n % 7}) {
+      ASSERT_EQ(Crc32c(data.data() + offset, n, seed),
+                Crc32cPortable(data.data() + offset, n, seed))
+          << "n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST(CrcTest, SeedChainingEqualsOneShot) {
+  std::mt19937 rng(3);
+  std::uniform_int_distribution<int> byte(0, 255);
+  std::uniform_int_distribution<size_t> split_dist;
+  for (const size_t n : {size_t{1}, size_t{100}, size_t{5000}}) {
+    std::vector<uint8_t> data(n);
+    for (auto& x : data) x = static_cast<uint8_t>(byte(rng));
+    const size_t split = split_dist(rng) % (n + 1);
+    for (auto* crc : {&Crc32c, &Crc32cPortable}) {
+      const uint32_t part = crc(data.data(), split, 0);
+      EXPECT_EQ(crc(data.data() + split, n - split, part),
+                crc(data.data(), n, 0))
+          << "n=" << n << " split=" << split;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 // DBSCAN semantics ((m,eps)-clusters of paper Def. 2).
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "cluster/dbscan.h"
 #include "cluster/grid_index.h"
 #include "common/object_set.h"
@@ -221,82 +223,122 @@ TEST(GridIndexTest, SpanBeyondDblMaxStaysSmallAndExact) {
   EXPECT_EQ(out, (std::vector<uint32_t>{1, 3, 4, 5}));
 }
 
+// GridIndex::NeighborsBatch is byte-identical to per-point Neighbors.
+TEST(NeighborsBatchProperty, EqualsPerPointNeighbors) {
+  std::mt19937 rng(44);
+  std::uniform_real_distribution<double> coord(0.0, 100.0);
+  for (int it = 0; it < 20; ++it) {
+    std::uniform_int_distribution<size_t> n_dist(1, 400);
+    const size_t n = n_dist(rng);
+    std::vector<SnapshotPoint> points(n);
+    for (size_t i = 0; i < n; ++i) {
+      points[i] = {static_cast<ObjectId>(i), coord(rng), coord(rng)};
+    }
+    const double eps = 3.0;
+    GridIndex grid(points, eps);
+
+    std::vector<uint32_t> queries;
+    std::uniform_int_distribution<int> pick(0, 2);
+    for (size_t i = 0; i < n; ++i) {
+      if (pick(rng) == 0) queries.push_back(static_cast<uint32_t>(i));
+    }
+
+    std::vector<uint32_t> flat, offsets;
+    grid.NeighborsBatch(queries, eps, &flat, &offsets);
+    ASSERT_EQ(offsets.size(), queries.size() + 1);
+    for (size_t q = 0; q < queries.size(); ++q) {
+      std::vector<uint32_t> want;
+      grid.Neighbors(queries[q], eps, &want);
+      const std::vector<uint32_t> got(flat.begin() + offsets[q],
+                                      flat.begin() + offsets[q + 1]);
+      ASSERT_EQ(got, want) << "query " << q;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DBSCAN
 // ---------------------------------------------------------------------------
 
-TEST(DbscanTest, EmptyInput) {
-  EXPECT_TRUE(Dbscan({}, 1.0, 2).empty());
+class DbscanTest : public ::testing::Test {
+ protected:
+  DbscanScratch scratch_;
+};
+
+TEST_F(DbscanTest, EmptyInput) {
+  EXPECT_TRUE(Dbscan({}, 1.0, 2, &scratch_).empty());
 }
 
-TEST(DbscanTest, SingleGroupClusters) {
+TEST_F(DbscanTest, SingleGroupClusters) {
   const auto pts = Points1D({0.0, 0.8, 1.6});
-  const auto clusters = Dbscan(pts, 1.0, 2);
+  const auto clusters = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0], ObjectSet::Of({0, 1, 2}));
 }
 
-TEST(DbscanTest, TwoSeparatedGroups) {
+TEST_F(DbscanTest, TwoSeparatedGroups) {
   const auto pts = Points1D({0.0, 0.5, 100.0, 100.5});
-  const auto clusters = Dbscan(pts, 1.0, 2);
+  const auto clusters = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 2u);
   EXPECT_EQ(clusters[0], ObjectSet::Of({0, 1}));
   EXPECT_EQ(clusters[1], ObjectSet::Of({2, 3}));
 }
 
-TEST(DbscanTest, ChainConnectivity) {
+TEST_F(DbscanTest, ChainConnectivity) {
   // A chain where only consecutive points are within eps: density-connected
   // into one cluster when every point is core.
   const auto pts = Points1D({0.0, 0.9, 1.8, 2.7, 3.6});
-  const auto clusters = Dbscan(pts, 1.0, 2);
+  const auto clusters = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 5u);
 }
 
-TEST(DbscanTest, MinPtsCountsSelf) {
+TEST_F(DbscanTest, MinPtsCountsSelf) {
   // |NH(p, eps)| >= m includes p itself (Sec. 3.1): two mutual neighbours
   // with m = 2 are both core.
   const auto pts = Points1D({0.0, 0.5});
-  EXPECT_EQ(Dbscan(pts, 1.0, 2).size(), 1u);
+  EXPECT_EQ(Dbscan(pts, 1.0, 2, &scratch_).size(), 1u);
   // With m = 3, no core points -> no clusters.
-  EXPECT_TRUE(Dbscan(pts, 1.0, 3).empty());
+  EXPECT_TRUE(Dbscan(pts, 1.0, 3, &scratch_).empty());
 }
 
-TEST(DbscanTest, NoisePointsExcluded) {
+TEST_F(DbscanTest, NoisePointsExcluded) {
   const auto pts = Points1D({0.0, 0.5, 50.0});
-  const auto clusters = Dbscan(pts, 1.0, 2);
+  const auto clusters = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_FALSE(clusters[0].Contains(2));
 }
 
-TEST(DbscanTest, BorderPointJoinsCluster) {
+TEST_F(DbscanTest, BorderPointJoinsCluster) {
   // m = 3: points at 0, 0.5, 1.0 make 0.5 core; 1.4 is border (within eps
   // of the core at 1.0 only after expansion).
   const auto pts = Points1D({0.0, 0.5, 1.0, 1.9});
-  const auto clusters = Dbscan(pts, 1.0, 3);
+  const auto clusters = Dbscan(pts, 1.0, 3, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_TRUE(clusters[0].Contains(3));  // border point included
 }
 
-TEST(DbscanTest, DuplicatePositionsCluster) {
+TEST_F(DbscanTest, DuplicatePositionsCluster) {
   std::vector<SnapshotPoint> pts{{0, 5, 5}, {1, 5, 5}, {2, 5, 5}};
-  const auto clusters = Dbscan(pts, 0.5, 3);
+  const auto clusters = Dbscan(pts, 0.5, 3, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 3u);
 }
 
-TEST(DbscanTest, SubsetRestrictsClustering) {
+TEST_F(DbscanTest, SubsetRestrictsClustering) {
   // Objects 0,1,2 are chained through 1; removing 1 disconnects them.
   const auto pts = Points1D({0.0, 0.9, 1.8});
-  const auto all = Dbscan(pts, 1.0, 2);
+  const auto all = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(all.size(), 1u);
-  const auto sub = DbscanSubset(pts, ObjectSet::Of({0, 2}), 1.0, 2);
+  const auto sub =
+      DbscanSubset(pts, ObjectSet::Of({0, 2}), 1.0, 2, &scratch_);
   EXPECT_TRUE(sub.empty());  // 0 and 2 are 1.8 apart
 }
 
-TEST(DbscanTest, LabelledOutputConsistentWithClusters) {
+TEST_F(DbscanTest, LabelledOutputConsistentWithClusters) {
   const auto pts = Points1D({0.0, 0.5, 10.0, 10.5, 50.0});
-  const DbscanLabels labels = DbscanLabelled(pts, 1.0, 2);
+  DbscanLabels labels;
+  DbscanLabelled(pts, 1.0, 2, &scratch_, &labels);
   EXPECT_EQ(labels.num_clusters, 2);
   EXPECT_EQ(labels.label[0], labels.label[1]);
   EXPECT_EQ(labels.label[2], labels.label[3]);
@@ -304,14 +346,14 @@ TEST(DbscanTest, LabelledOutputConsistentWithClusters) {
   EXPECT_EQ(labels.label[4], -1);  // noise
 }
 
-TEST(DbscanTest, ClustersAreDisjoint) {
+TEST_F(DbscanTest, ClustersAreDisjoint) {
   // Randomish blob: every object must appear in at most one cluster.
   std::vector<SnapshotPoint> pts;
   for (int i = 0; i < 40; ++i) {
     pts.push_back(SnapshotPoint{static_cast<ObjectId>(i),
                                 (i * 37 % 19) * 0.7, (i * 53 % 23) * 0.7});
   }
-  const auto clusters = Dbscan(pts, 1.0, 3);
+  const auto clusters = Dbscan(pts, 1.0, 3, &scratch_);
   std::vector<ObjectId> seen;
   for (const auto& c : clusters) {
     for (ObjectId oid : c) seen.push_back(oid);
@@ -320,14 +362,14 @@ TEST(DbscanTest, ClustersAreDisjoint) {
   EXPECT_EQ(std::adjacent_find(seen.begin(), seen.end()), seen.end());
 }
 
-TEST(DbscanTest, LargeEpsMergesEverything) {
+TEST_F(DbscanTest, LargeEpsMergesEverything) {
   const auto pts = Points1D({0.0, 3.0, 6.0, 9.0});
-  const auto clusters = Dbscan(pts, 100.0, 2);
+  const auto clusters = Dbscan(pts, 100.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 1u);
   EXPECT_EQ(clusters[0].size(), 4u);
 }
 
-TEST(DbscanTest, ExtremeButFiniteCoordinatesCluster) {
+TEST_F(DbscanTest, ExtremeButFiniteCoordinatesCluster) {
   // Three chains of 12 points (36 > the brute-force cutoff, so the grid
   // runs): at each end of the double range and at the origin.
   const double xs[] = {-1.7e308, 0.0, 1.7e308};
@@ -338,7 +380,7 @@ TEST(DbscanTest, ExtremeButFiniteCoordinatesCluster) {
                                   0.5 * i});
     }
   }
-  const auto clusters = Dbscan(pts, 1.0, 2);
+  const auto clusters = Dbscan(pts, 1.0, 2, &scratch_);
   ASSERT_EQ(clusters.size(), 3u);
   for (int g = 0; g < 3; ++g) {
     std::vector<ObjectId> ids;

@@ -194,8 +194,9 @@ class HwmtPaperExample : public ::testing::Test {
 
 TEST_F(HwmtPaperExample, CandidateClustersMatchPaper) {
   auto store = MakeMemStore(MakeData());
-  auto c0 = ClusterSnapshot(store.get(), 0, params_);
-  auto c8 = ClusterSnapshot(store.get(), 8, params_);
+  SnapshotScratch scratch;
+  auto c0 = ClusterSnapshot(store.get(), 0, params_, &scratch);
+  auto c8 = ClusterSnapshot(store.get(), 8, params_, &scratch);
   ASSERT_TRUE(c0.ok() && c8.ok());
   ASSERT_EQ(c0.value().size(), 3u);  // {a..j}, {x,y,z}, {m,n,o}
   ASSERT_EQ(c8.value().size(), 2u);  // {a,b,c,d}, {x,y,z}

@@ -127,8 +127,9 @@ TEST_F(BridgeScenario, RecursiveValidationSplitsToTrueFcConvoys) {
 /// exactly themselves: an honest ledger writer.
 void RecordTrueFacts(Store* store, const Convoy& v, const MiningParams& params,
                      FcLedger* ledger) {
+  SnapshotScratch scratch;
   for (Timestamp t = v.start; t <= v.end; ++t) {
-    auto clusters = ReCluster(store, t, v.objects, params);
+    auto clusters = ReCluster(store, t, v.objects, params, &scratch);
     K2_CHECK_OK(clusters.status());
     if (clusters.value() == std::vector<ObjectSet>{v.objects}) {
       ledger->Record(v.objects, t);
@@ -220,9 +221,10 @@ TEST(ValidationTest, LedgerGivesTheSameOutputOnSeededCandidates) {
     Rng rng(seed);
     std::vector<Convoy> candidates;
     FcLedger ledger;
+    SnapshotScratch scratch;
     for (int i = 0; i < 12; ++i) {
       const auto t = static_cast<Timestamp>(rng.UniformInt(0, 29));
-      auto clusters = ClusterSnapshot(store.get(), t, params);
+      auto clusters = ClusterSnapshot(store.get(), t, params, &scratch);
       ASSERT_TRUE(clusters.ok());
       for (const ObjectSet& cluster : clusters.value()) {
         const auto start = static_cast<Timestamp>(rng.UniformInt(0, t));
