@@ -1,7 +1,15 @@
 // Google-benchmark microbenchmarks of the substrates: DBSCAN, ObjectSet
-// intersection, B+-tree point reads / range scans, LSM point reads, memtable
-// appends. These are not paper figures; they size the building blocks.
+// intersection, B+-tree point reads / range scans, LSM point reads, 7-object
+// GetPoints on dense and holey ticks, memtable appends. These are not paper
+// figures; they size the building blocks. Disk-backed stores live in a
+// per-process directory under the system temp dir, removed at exit, so
+// concurrent runs never share a store.
 #include <benchmark/benchmark.h>
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <map>
 
 #include "cluster/dbscan.h"
 #include "common/check.h"
@@ -14,6 +22,20 @@
 
 namespace k2 {
 namespace {
+
+/// `<temp>/k2hop_micro_<pid>/<name>`; the directory goes at process exit.
+std::string ScratchPath(const std::string& name) {
+  static const struct ScratchDir {
+    std::filesystem::path path;
+    ~ScratchDir() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } dir{std::filesystem::temp_directory_path() /
+        ("k2hop_micro_" + std::to_string(::getpid()))};
+  std::filesystem::create_directories(dir.path);
+  return (dir.path / name).string();
+}
 
 std::vector<SnapshotPoint> RandomSnapshot(size_t n, double area,
                                           uint64_t seed) {
@@ -61,7 +83,7 @@ Dataset MicroDataset() {
 
 void BM_BPlusTreeGet(benchmark::State& state) {
   static BPlusTreeStore* store = [] {
-    auto* s = new BPlusTreeStore("/tmp/k2hop_micro_tree.db", 256);
+    auto* s = new BPlusTreeStore(ScratchPath("tree.db"), 256);
     K2_CHECK_OK(s->BulkLoad(MicroDataset()));
     return s;
   }();
@@ -71,13 +93,14 @@ void BM_BPlusTreeGet(benchmark::State& state) {
     const Timestamp t = static_cast<Timestamp>(rng.NextInt(500));
     const ObjectId oid = static_cast<ObjectId>(rng.NextInt(200));
     K2_CHECK_OK(store->GetPoints(t, ObjectSet::Of({oid}), &out));
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_BPlusTreeGet);
 
 void BM_BPlusTreeScanTimestamp(benchmark::State& state) {
   static BPlusTreeStore* store = [] {
-    auto* s = new BPlusTreeStore("/tmp/k2hop_micro_tree2.db", 256);
+    auto* s = new BPlusTreeStore(ScratchPath("tree2.db"), 256);
     K2_CHECK_OK(s->BulkLoad(MicroDataset()));
     return s;
   }();
@@ -86,7 +109,7 @@ void BM_BPlusTreeScanTimestamp(benchmark::State& state) {
   for (auto _ : state) {
     K2_CHECK_OK(
         store->ScanTimestamp(static_cast<Timestamp>(rng.NextInt(500)), &out));
-    benchmark::DoNotOptimize(out);
+    benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() * 200);
 }
@@ -94,7 +117,7 @@ BENCHMARK(BM_BPlusTreeScanTimestamp);
 
 void BM_LsmGet(benchmark::State& state) {
   static LsmStore* store = [] {
-    auto* s = new LsmStore("/tmp/k2hop_micro_lsm");
+    auto* s = new LsmStore(ScratchPath("lsm"));
     K2_CHECK_OK(s->BulkLoad(MicroDataset()));
     return s;
   }();
@@ -104,9 +127,77 @@ void BM_LsmGet(benchmark::State& state) {
     const Timestamp t = static_cast<Timestamp>(rng.NextInt(500));
     const ObjectId oid = static_cast<ObjectId>(rng.NextInt(200));
     K2_CHECK_OK(store->GetPoints(t, ObjectSet::Of({oid}), &out));
+    benchmark::DoNotOptimize(out.data());
   }
 }
 BENCHMARK(BM_LsmGet);
+
+// GetPoints of 7-object sets, the shape of an HWMT candidate's read, on
+// ticks of 1,104 objects (a Trucks x4 tick). Dense ticks hold every object,
+// so each oid's probe lands; holey ticks drop a quarter of the rows at
+// random, so most probes miss and pay the binary-search fallback.
+constexpr ObjectId kTickObjects = 1104;
+constexpr Timestamp kGetTicks = 200;
+
+Store* GetPointsStore(StoreKind kind, bool holey) {
+  // Leaked like the other benches' stores: none may outlive ScratchPath's
+  // directory, which static destruction removes.
+  static auto* stores =
+      new std::map<std::pair<StoreKind, bool>, std::unique_ptr<Store>>();
+  std::unique_ptr<Store>& store = (*stores)[{kind, holey}];
+  if (store == nullptr) {
+    DatasetBuilder builder;
+    Rng rng(11);
+    for (Timestamp t = 0; t < kGetTicks; ++t) {
+      for (ObjectId oid = 0; oid < kTickObjects; ++oid) {
+        if (holey && rng.NextInt(4) == 0) continue;
+        builder.Add(t, oid, rng.Uniform(0, 5000), rng.Uniform(0, 5000));
+      }
+    }
+    auto created = CreateStore(
+        kind, ScratchPath(std::string("get_") + StoreKindName(kind) +
+                          (holey ? "_holey" : "_dense")));
+    K2_CHECK_OK(created.status());
+    store = created.MoveValue();
+    K2_CHECK_OK(store->BulkLoad(builder.Build()));
+  }
+  return store.get();
+}
+
+void BM_GetPoints(benchmark::State& state) {
+  const auto kind = static_cast<StoreKind>(state.range(0));
+  const bool holey = state.range(1) != 0;
+  Store* store = GetPointsStore(kind, holey);
+  state.SetLabel(std::string(StoreKindName(kind)) +
+                 (holey ? "/holey" : "/dense"));
+  Rng rng(12);
+  std::vector<std::pair<Timestamp, ObjectSet>> queries;
+  for (int q = 0; q < 1024; ++q) {
+    std::vector<ObjectId> oids;
+    while (oids.size() < 7) {
+      const auto oid = static_cast<ObjectId>(rng.NextInt(kTickObjects));
+      if (std::find(oids.begin(), oids.end(), oid) == oids.end()) {
+        oids.push_back(oid);
+      }
+    }
+    queries.emplace_back(static_cast<Timestamp>(rng.NextInt(kGetTicks)),
+                         ObjectSet(std::move(oids)));
+  }
+  std::vector<SnapshotPoint> out;
+  size_t q = 0;
+  for (auto _ : state) {
+    const auto& [t, objects] = queries[q++ % queries.size()];
+    K2_CHECK_OK(store->GetPoints(t, objects, &out));
+    benchmark::DoNotOptimize(out.data());
+  }
+  state.SetItemsProcessed(state.iterations() * 7);
+}
+BENCHMARK(BM_GetPoints)
+    ->ArgNames({"engine", "holey"})
+    ->Args({static_cast<int64_t>(StoreKind::kMemory), 0})
+    ->Args({static_cast<int64_t>(StoreKind::kMemory), 1})
+    ->Args({static_cast<int64_t>(StoreKind::kLsm), 0})
+    ->Args({static_cast<int64_t>(StoreKind::kLsm), 1});
 
 void BM_MemtableAppend(benchmark::State& state) {
   for (auto _ : state) {

@@ -14,12 +14,10 @@ std::span<const PointRecord> Dataset::Snapshot(Timestamp t) const {
 }
 
 const PointRecord* Dataset::Find(Timestamp t, ObjectId oid) const {
-  auto snap = Snapshot(t);
-  auto it = std::lower_bound(
-      snap.begin(), snap.end(), oid,
-      [](const PointRecord& r, ObjectId o) { return r.oid < o; });
-  if (it == snap.end() || it->oid != oid) return nullptr;
-  return &*it;
+  const auto snap = Snapshot(t);
+  const size_t i = TickLowerBound(snap, 0, oid);
+  if (i == snap.size() || snap[i].oid != oid) return nullptr;
+  return &snap[i];
 }
 
 Dataset Dataset::Restrict(const std::vector<ObjectId>& sorted_oids,

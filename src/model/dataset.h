@@ -10,6 +10,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/probe_search.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -69,6 +70,20 @@ class Dataset {
   std::unordered_set<ObjectId> object_ids_;
   TimeRange time_range_{0, -1};
 };
+
+/// Index of the first of the rows [from, rows.size()) of one tick (`rows`,
+/// sorted by oid) whose oid >= `oid`, or rows.size() when none is. The one
+/// "find oid in a tick" search: it probes first the row `oid` would hold if
+/// the tick's oids were consecutive from its first row, so a dense tick
+/// answers with one load and a tick with holes falls back to a binary
+/// search (see ProbedLowerBound).
+inline size_t TickLowerBound(std::span<const PointRecord> rows, size_t from,
+                             ObjectId oid) {
+  if (from >= rows.size()) return rows.size();
+  return ProbedLowerBound(
+      from, rows.size(), DenseSlot(0, rows[0].oid, oid), oid,
+      [rows](size_t i) { return uint64_t{rows[i].oid}; });
+}
 
 /// The snapshot of `dataset` at tick `t` as the oid-sorted SnapshotPoint
 /// vector Store::Append expects — the bridge from a materialized dataset to

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <limits>
 
+#include "common/probe_search.h"
 #include "common/types.h"
 
 namespace k2 {
@@ -32,6 +33,18 @@ inline ObjectId KeyOid(uint64_t key) {
 inline uint64_t MinKeyOf(Timestamp t) { return MakeKey(t, 0); }
 inline uint64_t MaxKeyOf(Timestamp t) {
   return MakeKey(t, std::numeric_limits<ObjectId>::max());
+}
+
+/// The probe for `key` in a run of `count` ascending keys from `first_key`
+/// to `last_key` (an SSTable block, the memtable): the slot `key` would hold
+/// if its tick's oids were consecutive, counted from the first key when it
+/// shares the tick, else back from the last key (a run that ends inside the
+/// tick). A tick that neither end shares gets no probe.
+inline uint64_t DenseKeySlot(uint64_t first_key, uint64_t last_key,
+                             uint64_t count, uint64_t key) {
+  return KeyTime(key) == KeyTime(first_key)
+             ? DenseSlot(0, first_key, key)
+             : DenseSlot(count - 1, last_key, key);
 }
 
 }  // namespace k2

@@ -2,8 +2,11 @@
 // Every writer appends in key order — Store::Append takes only ticks past
 // the stored range with ascending oids, and WAL replay sees the rows in the
 // order they were logged — so the memtable is a vector that refuses a key
-// not above its last one. Nothing is overwritten, lookups are binary
-// searches, and a flush streams the rows into an SSTableBuilder as they are.
+// not above its last one. Nothing is overwritten, and a flush streams the
+// rows into an SSTableBuilder as they are. A lookup probes first the row a
+// key would hold if its tick's oids were consecutive from the memtable's
+// first row (same tick) or up to its last row (the newest tick); a miss, or
+// a tick in between, falls back to a binary search over the rest.
 #ifndef K2_STORAGE_LSM_MEMTABLE_H_
 #define K2_STORAGE_LSM_MEMTABLE_H_
 
@@ -12,6 +15,8 @@
 #include <span>
 #include <vector>
 
+#include "common/probe_search.h"
+#include "storage/key.h"
 #include "storage/lsm/sstable.h"
 
 namespace k2::lsm {
@@ -41,11 +46,17 @@ class Memtable {
   /// previous one ended.
   void MultiGet(std::span<const uint64_t> keys, LsmValue* values,
                 uint8_t* found) const {
-    auto it = rows_.begin();
-    for (size_t i = 0; i < keys.size() && it != rows_.end(); ++i) {
-      it = std::lower_bound(it, rows_.end(), keys[i], KeyLess);
-      if (it != rows_.end() && it->key == keys[i]) {
-        values[i] = it->value;
+    if (rows_.empty()) return;
+    const size_t n = rows_.size();
+    const uint64_t first_key = rows_.front().key;
+    const uint64_t last_key = rows_.back().key;
+    size_t pos = 0;
+    for (size_t i = 0; i < keys.size() && pos != n; ++i) {
+      const uint64_t key = keys[i];
+      pos = ProbedLowerBound(pos, n, DenseKeySlot(first_key, last_key, n, key),
+                             key, [this](size_t r) { return rows_[r].key; });
+      if (pos != n && rows_[pos].key == key) {
+        values[i] = rows_[pos].value;
         found[i] = 1;
       }
     }

@@ -10,6 +10,8 @@
 #include <cstring>
 
 #include "common/crc32c.h"
+#include "common/probe_search.h"
+#include "storage/key.h"
 #include "storage/store.h"
 
 namespace k2::lsm {
@@ -33,19 +35,6 @@ LsmValue LoadValue(const char* entry) {
   std::memcpy(&value.x, entry + 8, 8);
   std::memcpy(&value.y, entry + 16, 8);
   return value;
-}
-
-// Index of the first of the entries [lo, hi) at `data` whose key >= key.
-uint32_t LowerBound(const char* data, uint32_t lo, uint32_t hi, uint64_t key) {
-  while (lo < hi) {
-    const uint32_t mid = lo + (hi - lo) / 2;
-    if (LoadKey(data + size_t{mid} * kEntrySize) < key) {
-      lo = mid + 1;
-    } else {
-      hi = mid;
-    }
-  }
-  return lo;
 }
 
 }  // namespace
@@ -222,9 +211,10 @@ Result<std::shared_ptr<const SSTable>> SSTable::Open(const std::string& path,
     return Status::Invalid("SSTable meta checksum mismatch in " + path);
   }
 
-  // Reads walk the index forward and binary-search inside blocks in place,
-  // so the index must describe contiguous, non-empty, strictly ordered
-  // blocks that tile the data region exactly.
+  // Reads walk the index forward and search inside blocks in place, so the
+  // index must describe contiguous, non-empty, strictly ordered blocks that
+  // tile the data region exactly. In-block probes are checked against the
+  // block's count, so a damaged key cannot steer a read out of its block.
   table->num_entries_ = num_entries;
   const size_t num_blocks = (meta_end - index_offset) / kIndexEntrySize;
   table->index_.resize(num_blocks);
@@ -289,9 +279,13 @@ size_t SSTable::MultiGet(std::span<const uint64_t> keys, LsmValue* values,
       data = map_ + index_[b].offset;
       pos = 0;
     }
-    // Keys ascend, so each search resumes where the previous one ended.
+    // Keys ascend, so each search resumes where the previous one ended,
+    // and probes first where a dense tick would hold the key.
     const uint32_t count = index_[b].count;
-    pos = LowerBound(data, pos, count, key);
+    pos = static_cast<uint32_t>(ProbedLowerBound(
+        pos, count,
+        DenseKeySlot(index_[b].first_key, index_[b].last_key, count, key),
+        key, [data](size_t n) { return LoadKey(data + n * kEntrySize); }));
     const char* entry = data + size_t{pos} * kEntrySize;
     if (pos != count && LoadKey(entry) == key) {
       values[i] = LoadValue(entry);

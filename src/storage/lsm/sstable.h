@@ -112,9 +112,10 @@ class SSTable {
 
   /// Looks up ascending, duplicate-free `keys` in one forward walk over the
   /// blocks: one index binary search for the first key, then block by
-  /// block. A key found here sets values[i] and found[i] = 1; the entries
-  /// of other keys are left as they were. Returns the number of keys this
-  /// call found.
+  /// block, each key a dense-tick probe inside its block (DenseKeySlot,
+  /// ProbedLowerBound). A key found here sets values[i] and found[i] = 1;
+  /// the entries of other keys are left as they were. Returns the number
+  /// of keys this call found.
   size_t MultiGet(std::span<const uint64_t> keys, LsmValue* values,
                   uint8_t* found, IoStats* stats) const;
 

@@ -1,6 +1,5 @@
 #include "storage/store.h"
 
-#include <algorithm>
 #include <filesystem>
 #include <sstream>
 
@@ -63,13 +62,12 @@ size_t GatherPoints(std::span<const PointRecord> rows,
                     const ObjectSet& objects,
                     std::vector<SnapshotPoint>* out) {
   const size_t before = out->size();
-  auto it = rows.begin();
+  size_t pos = 0;
   for (ObjectId oid : objects) {
-    it = std::lower_bound(
-        it, rows.end(), oid,
-        [](const PointRecord& r, ObjectId o) { return r.oid < o; });
-    if (it == rows.end()) break;
-    if (it->oid == oid) out->push_back(SnapshotPoint{oid, it->x, it->y});
+    pos = TickLowerBound(rows, pos, oid);
+    if (pos == rows.size()) break;
+    const PointRecord& row = rows[pos];
+    if (row.oid == oid) out->push_back(SnapshotPoint{oid, row.x, row.y});
   }
   return out->size() - before;
 }

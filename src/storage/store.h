@@ -66,8 +66,10 @@ double PruningRatio(const IoStats& io, uint64_t total_points);
 
 /// Appends to `*out`, in oid order, the rows of one tick (`rows`, sorted
 /// by oid) whose oid is in `objects`, and returns how many it appended.
-/// Each oid is a binary search from the previous one's position, so a few
-/// objects cost O(|objects| log |rows|), not a walk over the whole tick.
+/// Each oid is a TickLowerBound from the previous one's position: one probe
+/// of the row the oid holds if the tick is dense, so a dense tick costs
+/// O(|objects|) loads. A tick with holes pays that probe and then a binary
+/// search, O(|objects| log |rows|), never a walk over the whole tick.
 /// The in-memory point-read path of the memory, file and B+-tree engines;
 /// each charges its own IoStats.
 size_t GatherPoints(std::span<const PointRecord> rows,
